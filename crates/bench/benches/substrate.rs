@@ -161,26 +161,6 @@ fn bench_translate() {
     });
 }
 
-/// The `std::collections::HashMap` the open-addressed table replaced,
-/// under the same 1M-page random-lookup load — the baseline for the
-/// page-table speedup claim.
-fn bench_hashmap_baseline() {
-    let mut map: std::collections::HashMap<u64, u64> = std::collections::HashMap::new();
-    for i in 0..XLATE_PAGES {
-        map.insert(i, i);
-    }
-    let mut state = 1u64;
-    bench("substrate/hashmap_1m_hit_random_baseline", || {
-        let vpn = lcg(&mut state) % XLATE_PAGES;
-        std::hint::black_box(map.get(&vpn));
-    });
-    let mut state = 2u64;
-    bench("substrate/hashmap_1m_miss_random_baseline", || {
-        let vpn = XLATE_PAGES + lcg(&mut state) % XLATE_PAGES;
-        std::hint::black_box(map.get(&vpn));
-    });
-}
-
 fn bench_validate() {
     let (m, _) = populated(8192);
     bench_with_setup("substrate/full_validate_8k_pages", || (), |_| m.validate());
@@ -193,6 +173,5 @@ fn main() {
     bench_swap();
     bench_tail_window();
     bench_translate();
-    bench_hashmap_baseline();
     bench_validate();
 }

@@ -8,13 +8,14 @@
 //! scheduler always progresses the workload that is furthest behind, so
 //! the interleaving is deterministic and fair.
 
-use tiered_mem::{EventSink, Memory, PageFlags, PageKey, PageLocation, TraceEvent};
+use tiered_mem::{EventSink, Memory, NodeId, PageFlags, PageKey, PageLocation, TraceEvent};
 use tiered_sim::{
     AccessObserver, LatencyModel, NullObserver, Periodic, SimRng, Workload, WorkloadEvent,
 };
 
 use crate::metrics::RunMetrics;
 use crate::policy::{PlacementPolicy, PolicyCtx, UnsupportedConfig};
+use crate::system::touch;
 
 /// One co-located workload and its execution state.
 struct Lane {
@@ -173,29 +174,16 @@ impl MultiSystem {
             for event in &op.events {
                 match *event {
                     WorkloadEvent::Access(access) => {
-                        let (cost, is_local, latency, node) = {
-                            let cost = execute_access_shared(
-                                &mut self.memory,
-                                &mut *self.policy,
-                                &self.latency,
-                                now,
-                                &access,
-                                &mut self.rng,
-                            );
-                            let pfn = self
-                                .memory
-                                .space(access.pid)
-                                .translate(access.vpn)
-                                .and_then(|l| l.pfn())
-                                .expect("access leaves the page resident");
-                            let node = self.memory.frames().frame(pfn).node();
-                            (
-                                cost,
-                                !self.memory.node(node).is_cpu_less(),
-                                self.memory.node(node).latency_ns(),
-                                node,
-                            )
-                        };
+                        let (cost, node) = execute_access_shared(
+                            &mut self.memory,
+                            &mut *self.policy,
+                            &self.latency,
+                            now,
+                            &access,
+                            &mut self.rng,
+                        );
+                        let is_local = !self.memory.node(node).is_cpu_less();
+                        let latency = self.memory.node(node).latency_ns();
                         mem_ns += cost;
                         self.lanes[i].metrics.note_access(
                             is_local,
@@ -236,6 +224,7 @@ impl MultiSystem {
 
 /// The shared access path (fault, hint fault, touch, charge); mirrors
 /// `System::execute_access` for a machine with several processes.
+/// Returns the latency charged to the op and the node that served it.
 fn execute_access_shared(
     memory: &mut Memory,
     policy: &mut dyn PlacementPolicy,
@@ -243,7 +232,7 @@ fn execute_access_shared(
     now: u64,
     access: &tiered_sim::Access,
     rng: &mut SimRng,
-) -> u64 {
+) -> (u64, NodeId) {
     let mut cost = 0u64;
     let mut pfn = match memory.space(access.pid).translate(access.vpn) {
         Some(PageLocation::Mapped(pfn)) => pfn,
@@ -288,17 +277,12 @@ fn execute_access_shared(
             other => panic!("page vanished during hint fault: {other:?}"),
         };
     }
-    {
-        let frame = memory.frames_mut().frame_mut(pfn);
-        frame.flags_mut().insert(PageFlags::REFERENCED);
-        if access.kind == tiered_sim::AccessKind::Store {
-            frame.flags_mut().insert(PageFlags::DIRTY);
-        }
-        frame.touch_hotness();
-        frame.set_last_access_ns(now);
-    }
+    touch(memory, now, pfn, access.kind);
     let node = memory.frames().frame(pfn).node();
-    cost + memory.node(node).latency_ns() * latency.access_bundle
+    (
+        cost + memory.node(node).latency_ns() * latency.access_bundle,
+        node,
+    )
 }
 
 #[cfg(test)]
@@ -306,7 +290,8 @@ mod tests {
     use super::*;
     use crate::configs;
     use crate::policy::{LinuxDefault, Tpp};
-    use tiered_sim::SEC;
+    use tiered_mem::{NodeKind, PageType, Pid, ThpMode, Vpn, HUGE_PAGE_FRAMES};
+    use tiered_sim::{Access, AccessKind, Op, MS, SEC};
 
     fn colocated(policy: Box<dyn PlacementPolicy>) -> MultiSystem {
         let a = tiered_workloads::cache1(1_500).build();
@@ -361,6 +346,77 @@ mod tests {
             )
         };
         assert_eq!(run(), run());
+    }
+
+    /// Loads one tail page of the 2 MiB unit at VPN 0 per op, cycling
+    /// through VPNs 1..512 and never touching the head VPN.
+    struct TailToucher {
+        next: u64,
+    }
+
+    impl Workload for TailToucher {
+        fn name(&self) -> &str {
+            "tail_toucher"
+        }
+
+        fn pid(&self) -> Pid {
+            Pid(20)
+        }
+
+        fn next_op(&mut self, _now_ns: u64, _rng: &mut SimRng) -> Op {
+            let vpn = Vpn(1 + self.next % (HUGE_PAGE_FRAMES - 1));
+            self.next += 1;
+            Op {
+                cpu_ns: 1_000,
+                events: vec![WorkloadEvent::Access(Access {
+                    pid: self.pid(),
+                    vpn,
+                    kind: AccessKind::Load,
+                    page_type: PageType::Anon,
+                })],
+            }
+        }
+
+        fn working_set_pages(&self) -> u64 {
+            HUGE_PAGE_FRAMES
+        }
+    }
+
+    #[test]
+    fn tail_touches_keep_the_compound_head_warm() {
+        let memory = Memory::builder()
+            .node(NodeKind::LocalDram, 4096)
+            .node(NodeKind::Cxl, 4096)
+            .swap_pages(4096)
+            .thp_mode(ThpMode::Always)
+            .build();
+        let mut s = MultiSystem::new(
+            memory,
+            Box::new(LinuxDefault::new()),
+            vec![
+                Box::new(TailToucher { next: 0 }),
+                Box::new(tiered_workloads::uniform(1_000).build()),
+            ],
+            5,
+        )
+        .unwrap();
+        s.run(50 * MS);
+        let m = s.memory();
+        let tail = m
+            .space(Pid(20))
+            .translate(Vpn(1))
+            .and_then(|l| l.pfn())
+            .expect("tail mapped");
+        let head = m.compound_head(tail);
+        assert_ne!(head, tail, "the unit was faulted in as a compound page");
+        let head_frame = m.frames().frame(head);
+        assert!(head_frame.flags().contains(PageFlags::HEAD));
+        assert!(
+            head_frame.flags().contains(PageFlags::REFERENCED),
+            "tail touches must mark the head referenced"
+        );
+        assert!(head_frame.hotness() > 0, "tail touches must heat the head");
+        m.validate();
     }
 
     #[test]

@@ -299,7 +299,7 @@ impl System {
                 other => panic!("page vanished during hint fault: {other:?}"),
             };
         }
-        self.touch(now, pfn, access.kind);
+        touch(&mut self.memory, now, pfn, access.kind);
         let node = self.memory.frames().frame(pfn).node();
         let node_latency = self.memory.node(node).latency_ns();
         // One workload access stands for a bundle of LLC misses (see
@@ -312,25 +312,27 @@ impl System {
         obs.on_access(now, access, node);
         cost
     }
+}
 
-    fn touch(&mut self, now: u64, pfn: Pfn, kind: AccessKind) {
-        let mark = if kind == AccessKind::Store {
-            PageFlags::REFERENCED | PageFlags::DIRTY
-        } else {
-            PageFlags::REFERENCED
-        };
-        let frame = self.memory.frames_mut().frame_mut(pfn);
-        frame.flags_mut().insert(mark);
-        frame.touch_hotness();
-        frame.set_last_access_ns(now);
-        // Tail touches keep the whole compound warm (see the fast path).
-        if frame.flags().contains(PageFlags::TAIL) {
-            let head = self.memory.compound_head(pfn);
-            let head_frame = self.memory.frames_mut().frame_mut(head);
-            head_frame.flags_mut().insert(mark);
-            head_frame.touch_hotness();
-            head_frame.set_last_access_ns(now);
-        }
+/// Records a touch of `pfn` at `now` on the slow path of both engines.
+/// A tail touch keeps the whole compound warm by forwarding its marks to
+/// the head, as the fast path in `System::execute_access` does.
+pub(crate) fn touch(memory: &mut Memory, now: u64, pfn: Pfn, kind: AccessKind) {
+    let mark = if kind == AccessKind::Store {
+        PageFlags::REFERENCED | PageFlags::DIRTY
+    } else {
+        PageFlags::REFERENCED
+    };
+    let frame = memory.frames_mut().frame_mut(pfn);
+    frame.flags_mut().insert(mark);
+    frame.touch_hotness();
+    frame.set_last_access_ns(now);
+    if frame.flags().contains(PageFlags::TAIL) {
+        let head = memory.compound_head(pfn);
+        let head_frame = memory.frames_mut().frame_mut(head);
+        head_frame.flags_mut().insert(mark);
+        head_frame.touch_hotness();
+        head_frame.set_last_access_ns(now);
     }
 }
 

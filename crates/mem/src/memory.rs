@@ -33,6 +33,51 @@ struct Shadow {
     eviction_clock: u64,
 }
 
+/// The machine's processes: `(pid, address space)` pairs kept sorted by
+/// pid and searched by a linear scan. Every access resolves its pid here,
+/// and machines host one or two processes, so comparing a few pids is
+/// cheaper than hashing one; iteration is in pid order for free.
+#[derive(Clone, Debug, Default)]
+struct ProcessTable {
+    entries: Vec<(Pid, AddressSpace)>,
+}
+
+impl ProcessTable {
+    #[inline]
+    fn get(&self, pid: Pid) -> Option<&AddressSpace> {
+        self.entries.iter().find(|(p, _)| *p == pid).map(|(_, s)| s)
+    }
+
+    #[inline]
+    fn get_mut(&mut self, pid: Pid) -> Option<&mut AddressSpace> {
+        self.entries
+            .iter_mut()
+            .find(|(p, _)| *p == pid)
+            .map(|(_, s)| s)
+    }
+
+    /// Registers an empty space for `pid`; `false` if it already exists.
+    fn insert(&mut self, pid: Pid) -> bool {
+        match self.entries.binary_search_by_key(&pid, |(p, _)| *p) {
+            Ok(_) => false,
+            Err(at) => {
+                self.entries.insert(at, (pid, AddressSpace::new(pid)));
+                true
+            }
+        }
+    }
+
+    fn remove(&mut self, pid: Pid) -> Option<AddressSpace> {
+        let at = self.entries.iter().position(|(p, _)| *p == pid)?;
+        Some(self.entries.remove(at).1)
+    }
+
+    /// Every process in pid order.
+    fn iter(&self) -> impl Iterator<Item = (Pid, &AddressSpace)> {
+        self.entries.iter().map(|(p, s)| (*p, s))
+    }
+}
+
 /// Builder for [`Memory`] ([C-BUILDER]).
 ///
 /// [C-BUILDER]: https://rust-lang.github.io/api-guidelines/type-safety.html
@@ -160,7 +205,7 @@ impl MemoryBuilder {
             nodes,
             topology: topo.clone(),
             fallback,
-            spaces: HashMap::new(),
+            spaces: ProcessTable::default(),
             home_nodes: HashMap::new(),
             swap,
             vmstat: VmStat::new(),
@@ -185,7 +230,7 @@ pub struct Memory {
     /// Per-node allocation fallback order, indexed by source node
     /// (precomputed from the topology; the fault path reads it hot).
     fallback: Vec<NodeList>,
-    spaces: HashMap<Pid, AddressSpace>,
+    spaces: ProcessTable,
     /// Home (socket) node per process; faults and promotions prefer it.
     /// Processes without an entry default to the first CPU-attached node.
     home_nodes: HashMap<Pid, NodeId>,
@@ -543,13 +588,12 @@ impl Memory {
     ///
     /// Panics if the pid already exists.
     pub fn create_process(&mut self, pid: Pid) {
-        let prev = self.spaces.insert(pid, AddressSpace::new(pid));
-        assert!(prev.is_none(), "{pid} already exists");
+        assert!(self.spaces.insert(pid), "{pid} already exists");
     }
 
     /// Whether `pid` is registered.
     pub fn has_process(&self, pid: Pid) -> bool {
-        self.spaces.contains_key(&pid)
+        self.spaces.get(pid).is_some()
     }
 
     /// Shared access to a process' address space.
@@ -559,15 +603,13 @@ impl Memory {
     /// Panics if the pid is unknown.
     pub fn space(&self, pid: Pid) -> &AddressSpace {
         self.spaces
-            .get(&pid)
+            .get(pid)
             .unwrap_or_else(|| panic!("unknown {pid}"))
     }
 
     /// All registered pids, sorted (deterministic iteration).
     pub fn pids(&self) -> Vec<Pid> {
-        let mut v: Vec<Pid> = self.spaces.keys().copied().collect();
-        v.sort();
-        v
+        self.spaces.iter().map(|(pid, _)| pid).collect()
     }
 
     /// Destroys a process, releasing every resident page and swap slot.
@@ -578,7 +620,7 @@ impl Memory {
     pub fn destroy_process(&mut self, pid: Pid) {
         let space = self
             .spaces
-            .remove(&pid)
+            .remove(pid)
             .unwrap_or_else(|| panic!("unknown {pid}"));
         self.home_nodes.remove(&pid);
         self.shadows.retain(|key, _| key.pid != pid);
@@ -622,7 +664,7 @@ impl Memory {
     ) -> Result<Pfn, AllocError> {
         let space = self
             .spaces
-            .get_mut(&pid)
+            .get_mut(pid)
             .unwrap_or_else(|| panic!("unknown {pid}"));
         assert!(
             space.translate(vpn).is_none(),
@@ -671,8 +713,7 @@ impl Memory {
         // A member of a compound page cannot be carved out individually:
         // split the compound back to base pages first (the kernel's
         // split-on-partial-unmap), then release the one page.
-        if let Some(PageLocation::Mapped(pfn)) =
-            self.spaces.get(&pid).and_then(|s| s.translate(vpn))
+        if let Some(PageLocation::Mapped(pfn)) = self.spaces.get(pid).and_then(|s| s.translate(vpn))
         {
             if self
                 .frames
@@ -686,7 +727,7 @@ impl Memory {
         }
         let space = self
             .spaces
-            .get_mut(&pid)
+            .get_mut(pid)
             .unwrap_or_else(|| panic!("unknown {pid}"));
         match space.unmap(vpn) {
             Some(PageLocation::Mapped(pfn)) => {
@@ -773,7 +814,7 @@ impl Memory {
         }
         let space = self
             .spaces
-            .get_mut(&owner.pid)
+            .get_mut(owner.pid)
             .unwrap_or_else(|| panic!("owner {} vanished", owner.pid));
         space.map(owner.vpn, new_pfn);
         self.record(TraceEvent::Migrate {
@@ -835,7 +876,7 @@ impl Memory {
         {
             let space = self
                 .spaces
-                .get(&pid)
+                .get(pid)
                 .unwrap_or_else(|| panic!("unknown {pid}"));
             for i in 0..HUGE_PAGE_FRAMES {
                 let vpn = Vpn(base_vpn.0 + i);
@@ -860,7 +901,7 @@ impl Memory {
             });
         }
         self.frames.frame_mut(head).order = MAX_PAGE_ORDER;
-        let space = self.spaces.get_mut(&pid).expect("space vanished");
+        let space = self.spaces.get_mut(pid).expect("space vanished");
         for i in 0..HUGE_PAGE_FRAMES {
             space.map(Vpn(base_vpn.0 + i), Pfn(head.0 + i as u32));
         }
@@ -932,7 +973,7 @@ impl Memory {
     /// (referenced or with hotness history). Returns that common node.
     pub fn collapse_candidate(&self, pid: Pid, base_vpn: Vpn) -> Option<NodeId> {
         debug_assert_eq!(base_vpn.0 % HUGE_PAGE_FRAMES, 0);
-        let space = self.spaces.get(&pid)?;
+        let space = self.spaces.get(pid)?;
         let mut node = None;
         let mut warm = false;
         for i in 0..HUGE_PAGE_FRAMES {
@@ -1000,7 +1041,7 @@ impl Memory {
             .ok_or(AllocError::NoMemory { node })?;
         for i in 0..HUGE_PAGE_FRAMES {
             let vpn = Vpn(base_vpn.0 + i);
-            let old = match self.spaces.get(&pid).and_then(|s| s.translate(vpn)) {
+            let old = match self.spaces.get(pid).and_then(|s| s.translate(vpn)) {
                 Some(PageLocation::Mapped(pfn)) => pfn,
                 other => panic!("{pid}:{vpn} not resident during collapse (found {other:?})"),
             };
@@ -1030,7 +1071,7 @@ impl Memory {
             f.set_hotness(hotness);
             f.set_last_access_ns(last);
             self.spaces
-                .get_mut(&pid)
+                .get_mut(pid)
                 .expect("space vanished")
                 .map(vpn, new);
         }
@@ -1124,7 +1165,7 @@ impl Memory {
             f.set_hotness(hotness);
             f.set_last_access_ns(last);
             self.spaces
-                .get_mut(&o_owner.pid)
+                .get_mut(o_owner.pid)
                 .unwrap_or_else(|| panic!("owner {} vanished", o_owner.pid))
                 .map(o_owner.vpn, new);
         }
@@ -1184,7 +1225,7 @@ impl Memory {
         f.set_hotness(hotness);
         f.set_last_access_ns(last);
         self.spaces
-            .get_mut(&owner.pid)
+            .get_mut(owner.pid)
             .unwrap_or_else(|| panic!("owner {} vanished", owner.pid))
             .map(owner.vpn, dst);
         self.nodes[node.index()]
@@ -1225,7 +1266,7 @@ impl Memory {
         self.frames.free(pfn);
         let space = self
             .spaces
-            .get_mut(&owner.pid)
+            .get_mut(owner.pid)
             .unwrap_or_else(|| panic!("owner {} vanished", owner.pid));
         space.set_swapped(owner.vpn, slot);
         self.record(TraceEvent::SwapOut {
@@ -1254,7 +1295,7 @@ impl Memory {
         node: NodeId,
         page_type: PageType,
     ) -> Result<Pfn, AllocError> {
-        let slot = match self.spaces.get(&pid).and_then(|s| s.translate(vpn)) {
+        let slot = match self.spaces.get(pid).and_then(|s| s.translate(vpn)) {
             Some(PageLocation::Swapped(slot)) => slot,
             other => panic!("{pid}:{vpn} is not swapped out (found {other:?})"),
         };
@@ -1263,7 +1304,7 @@ impl Memory {
             .swap_in(slot)
             .expect("swap slot vanished while mapped");
         self.spaces
-            .get_mut(&pid)
+            .get_mut(pid)
             .expect("space vanished")
             .map(vpn, pfn);
         let kind = LruKind::for_page(page_type, false);
@@ -1296,7 +1337,7 @@ impl Memory {
         self.nodes[nid.index()].lru.remove(&mut self.frames, pfn);
         self.frames.free(pfn);
         self.spaces
-            .get_mut(&owner.pid)
+            .get_mut(owner.pid)
             .unwrap_or_else(|| panic!("owner {} vanished", owner.pid))
             .unmap(owner.vpn);
         self.eviction_clocks[nid.index()] += 1;
@@ -1439,7 +1480,7 @@ impl Memory {
         }
         // 4. Page-table ↔ frame-owner bijection.
         let mut mapped = 0u64;
-        for (pid, space) in &self.spaces {
+        for (pid, space) in self.spaces.iter() {
             for (vpn, loc) in space.iter() {
                 match loc {
                     PageLocation::Mapped(pfn) => {
@@ -1447,14 +1488,14 @@ impl Memory {
                         let frame = self.frames.frame(pfn);
                         assert_eq!(
                             frame.owner(),
-                            Some(PageKey::new(*pid, vpn)),
+                            Some(PageKey::new(pid, vpn)),
                             "rmap mismatch at {pfn}"
                         );
                     }
                     PageLocation::Swapped(slot) => {
                         assert_eq!(
                             self.swap.peek(slot),
-                            Some(PageKey::new(*pid, vpn)),
+                            Some(PageKey::new(pid, vpn)),
                             "swap slot mismatch at {slot:?}"
                         );
                     }
@@ -2140,5 +2181,65 @@ mod tests {
         assert_eq!(m.frames().frame(dst).lru_kind(), Some(LruKind::AnonActive));
         assert!(!m.frames().frame(a).is_allocated());
         m.validate();
+    }
+
+    #[test]
+    fn process_table_lists_pids_sorted_whatever_the_creation_order() {
+        let mut m = two_node();
+        for pid in [9, 2, 5] {
+            m.create_process(Pid(pid));
+        }
+        assert_eq!(m.pids(), vec![Pid(2), Pid(5), Pid(9)]);
+    }
+
+    #[test]
+    fn process_table_resolves_survivors_after_a_destroy() {
+        let mut m = two_node();
+        for pid in [9, 2, 5] {
+            m.create_process(Pid(pid));
+            m.alloc_and_map(NodeId(0), Pid(pid), Vpn(u64::from(pid)), PageType::Anon)
+                .unwrap();
+        }
+        m.destroy_process(Pid(5));
+        assert!(!m.has_process(Pid(5)));
+        assert_eq!(m.pids(), vec![Pid(2), Pid(9)]);
+        for pid in [2, 9] {
+            let space = m.space(Pid(pid));
+            assert_eq!(space.pid(), Pid(pid));
+            assert!(space.translate(Vpn(u64::from(pid))).is_some());
+            assert_eq!(space.resident_pages(), 1);
+        }
+        m.validate();
+    }
+
+    #[test]
+    fn cloned_memory_keeps_independent_spaces() {
+        let mut m = two_node();
+        m.create_process(Pid(1));
+        let mut c = m.clone();
+        c.alloc_and_map(NodeId(0), Pid(1), Vpn(3), PageType::Anon)
+            .unwrap();
+        c.create_process(Pid(2));
+        assert_eq!(m.space(Pid(1)).translate(Vpn(3)), None);
+        assert_eq!(m.pids(), vec![Pid(1)]);
+        assert!(c.space(Pid(1)).translate(Vpn(3)).is_some());
+        m.validate();
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "pid4 already exists")]
+    fn duplicate_process_panics() {
+        let mut m = two_node();
+        m.create_process(Pid(4));
+        m.create_process(Pid(4));
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown pid5")]
+    fn unknown_space_panics() {
+        let mut m = two_node();
+        m.create_process(Pid(4));
+        let _ = m.space(Pid(5));
     }
 }

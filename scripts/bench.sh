@@ -3,10 +3,6 @@
 # standard-scale `repro` run, merged into one JSON report (default:
 # BENCH_repro.json at the repo root, which is checked in).
 #
-# The microbench section carries its own before/after pair: the
-# `hashmap_*_baseline` entries measure the std::collections::HashMap page
-# table the open-addressed VpnMap replaced, under the identical load.
-#
 #   scripts/bench.sh [output.json]     # JOBS=4 scripts/bench.sh to pin jobs
 set -euo pipefail
 cd "$(dirname "$0")/.."

@@ -12,56 +12,34 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q --workspace
 # Benches must at least compile (running them is bench.sh's job).
 cargo bench --no-run -q -p tpp-bench
 
-# Executor determinism gate: a reduced-scale repro must produce
+# Determinism gates: each reduced-scale target must produce
 # byte-identical tables with and without the parallel executor. (The
 # checked-in expected/ snapshots are standard-scale, so the quick run is
 # gated against itself: --jobs 1 vs --jobs 2.)
+#   all       executor determinism over every target on two nodes;
+#   topology  the multi-preset grid: cells span several machine shapes,
+#             so it exercises scheduling paths `all` with two nodes does
+#             not;
+#   thp       the huge-page grid: khugepaged/kcompactd run in every
+#             non-`never` cell, so it exercises the compound-page paths
+#             the base-page targets never touch.
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 cargo build --release -q -p tpp-bench --bin repro
-./target/release/repro all --quick --jobs 1 --csv "$tmp/j1" >"$tmp/j1.out" 2>/dev/null
-./target/release/repro all --quick --jobs 2 --csv "$tmp/j2" >"$tmp/j2.out" 2>/dev/null
-diff -r "$tmp/j1" "$tmp/j2" >/dev/null || {
-  echo "executor determinism gate FAILED: --jobs 2 CSV tables differ from --jobs 1" >&2
-  exit 1
-}
-diff "$tmp/j1.out" "$tmp/j2.out" >/dev/null || {
-  echo "executor determinism gate FAILED: --jobs 2 stdout differs from --jobs 1" >&2
-  exit 1
-}
-echo "executor determinism gate: --jobs 2 output byte-identical to --jobs 1"
-
-# Topology determinism gate: the multi-preset grid must also be
-# byte-identical under the parallel executor (its cells span several
-# machine shapes, so it exercises scheduling paths `all --quick` with
-# two nodes does not).
-./target/release/repro topology --quick --jobs 1 --csv "$tmp/t1" >"$tmp/t1.out" 2>/dev/null
-./target/release/repro topology --quick --jobs 2 --csv "$tmp/t2" >"$tmp/t2.out" 2>/dev/null
-diff -r "$tmp/t1" "$tmp/t2" >/dev/null || {
-  echo "topology determinism gate FAILED: --jobs 2 CSV tables differ from --jobs 1" >&2
-  exit 1
-}
-diff "$tmp/t1.out" "$tmp/t2.out" >/dev/null || {
-  echo "topology determinism gate FAILED: --jobs 2 stdout differs from --jobs 1" >&2
-  exit 1
-}
-echo "topology determinism gate: --jobs 2 output byte-identical to --jobs 1"
-
-# THP determinism gate: the huge-page grid runs khugepaged/kcompactd in
-# every non-`never` cell, so it exercises the compound-page paths the
-# base-page targets never touch; it too must be byte-identical under the
-# parallel executor.
-./target/release/repro thp --quick --jobs 1 --csv "$tmp/h1" >"$tmp/h1.out" 2>/dev/null
-./target/release/repro thp --quick --jobs 2 --csv "$tmp/h2" >"$tmp/h2.out" 2>/dev/null
-diff -r "$tmp/h1" "$tmp/h2" >/dev/null || {
-  echo "thp determinism gate FAILED: --jobs 2 CSV tables differ from --jobs 1" >&2
-  exit 1
-}
-diff "$tmp/h1.out" "$tmp/h2.out" >/dev/null || {
-  echo "thp determinism gate FAILED: --jobs 2 stdout differs from --jobs 1" >&2
-  exit 1
-}
-echo "thp determinism gate: --jobs 2 output byte-identical to --jobs 1"
+for gate in "all executor" "topology topology" "thp thp"; do
+  read -r target name <<<"$gate"
+  ./target/release/repro "$target" --quick --jobs 1 --csv "$tmp/$target.j1" >"$tmp/$target.j1.out" 2>/dev/null
+  ./target/release/repro "$target" --quick --jobs 2 --csv "$tmp/$target.j2" >"$tmp/$target.j2.out" 2>/dev/null
+  diff -r "$tmp/$target.j1" "$tmp/$target.j2" >/dev/null || {
+    echo "$name determinism gate FAILED: --jobs 2 CSV tables differ from --jobs 1" >&2
+    exit 1
+  }
+  diff "$tmp/$target.j1.out" "$tmp/$target.j2.out" >/dev/null || {
+    echo "$name determinism gate FAILED: --jobs 2 stdout differs from --jobs 1" >&2
+    exit 1
+  }
+  echo "$name determinism gate: --jobs 2 output byte-identical to --jobs 1"
+done
 
 # If this change regenerated the checked-in bench report, surface the
 # throughput delta for review.
