@@ -4,7 +4,14 @@
 
 use tpp_bench::microbench::{bench, bench_with_setup};
 
-use tiered_mem::{AddressSpace, LruKind, Memory, NodeId, NodeKind, PageType, Pfn, Pid, Vpn};
+use tiered_mem::{
+    AddressSpace, LruKind, Memory, NodeId, NodeKind, PageType, Pfn, Pid, ThpMode, Vpn,
+    HUGE_PAGE_FRAMES,
+};
+use tiered_sim::LatencyModel;
+use tpp::policy::{
+    khugepaged_pass, HintSampler, HugeConfig, HugeState, SampleScope, SamplerConfig,
+};
 
 fn machine(local: u64, cxl: u64) -> Memory {
     Memory::builder()
@@ -161,6 +168,44 @@ fn bench_translate() {
     });
 }
 
+/// Pages in the THP-daemon benches' address space: about what one
+/// process maps in the standard-scale workloads.
+const DAEMON_PAGES: u64 = 30_000;
+
+/// A THP-`always` machine with [`DAEMON_PAGES`] base pages mapped on the
+/// CXL node, every aligned window missing its first page so no window is
+/// ever collapsible: each wakeup does the same work.
+fn daemon_machine() -> Memory {
+    let mut m = Memory::builder()
+        .node(NodeKind::LocalDram, 1024)
+        .node(NodeKind::Cxl, DAEMON_PAGES + 1024)
+        .thp_mode(ThpMode::Always)
+        .build();
+    m.create_process(Pid(1));
+    for i in (0..DAEMON_PAGES).filter(|i| i % HUGE_PAGE_FRAMES != 0) {
+        m.alloc_and_map(NodeId(1), Pid(1), Vpn(i), PageType::Anon)
+            .unwrap();
+    }
+    m
+}
+
+/// One wakeup of each background scanner over a 30k-page process, at
+/// the default budgets: khugepaged checks four windows from its cursor,
+/// the hint sampler walks 4096 pages from its cursor.
+fn bench_thp_daemons() {
+    let lat = LatencyModel::datacenter();
+    let budget = HugeConfig::default().khugepaged;
+    let mut m = daemon_machine();
+    let mut state = HugeState::default();
+    bench("substrate/khugepaged_pass_30k", || {
+        std::hint::black_box(khugepaged_pass(&mut state, &mut m, &lat, budget));
+    });
+    let mut sampler = HintSampler::new(SamplerConfig::scaled(SampleScope::AllNodes));
+    bench("substrate/hint_scan_30k", || {
+        std::hint::black_box(sampler.scan(&mut m));
+    });
+}
+
 fn bench_validate() {
     let (m, _) = populated(8192);
     bench_with_setup("substrate/full_validate_8k_pages", || (), |_| m.validate());
@@ -173,5 +218,6 @@ fn main() {
     bench_swap();
     bench_tail_window();
     bench_translate();
+    bench_thp_daemons();
     bench_validate();
 }

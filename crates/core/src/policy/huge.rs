@@ -72,11 +72,9 @@ impl Default for HugeConfig {
 pub struct HugeState {
     /// khugepaged's per-process window cursor (`khugepaged_scan.address`
     /// analogue): successive wakeups resume where the last stopped.
-    khugepaged_cursor: HashMap<Pid, u64>,
+    pub(super) khugepaged_cursor: HashMap<Pid, u64>,
     /// Per-node migration-scanner position, as a node-relative PFN.
     compact_cursor: Vec<u32>,
-    /// Reused buffer for each process's sorted VPNs.
-    vpn_scratch: Vec<Vpn>,
     /// Reused buffer for the distinct aligned windows of a process.
     window_scratch: Vec<u64>,
 }
@@ -121,18 +119,12 @@ pub fn khugepaged_pass(
         if scanned >= budget.scan_pages as u64 || time_left == 0 {
             break;
         }
-        memory.space(pid).sorted_vpns_into(&mut state.vpn_scratch);
-        // Distinct aligned windows, in address order (the VPNs are
-        // sorted, so consecutive dedup suffices).
+        // Snapshot the occupied windows in address order: collapsing
+        // rewrites the page table under the walk.
         state.window_scratch.clear();
-        let mut last = u64::MAX;
-        for vpn in &state.vpn_scratch {
-            let base = vpn.0 & !(HUGE_PAGE_FRAMES - 1);
-            if base != last {
-                state.window_scratch.push(base);
-                last = base;
-            }
-        }
+        state
+            .window_scratch
+            .extend(memory.space(pid).windows().map(|base| base.0));
         let windows = &state.window_scratch;
         if windows.is_empty() {
             continue;

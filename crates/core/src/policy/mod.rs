@@ -23,6 +23,8 @@ mod linux_default;
 mod numa_balancing;
 mod reclaim;
 mod sampler;
+#[cfg(test)]
+mod scan_equivalence;
 mod tpp_policy;
 
 pub use autotiering::{AutoTiering, AutoTieringConfig};

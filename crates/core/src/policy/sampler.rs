@@ -52,8 +52,9 @@ impl SamplerConfig {
 #[derive(Clone, Debug)]
 pub struct HintSampler {
     config: SamplerConfig,
-    cursors: std::collections::HashMap<tiered_mem::Pid, u64>,
-    /// Reused per-scan buffer for each process's sorted VPNs.
+    pub(super) cursors: std::collections::HashMap<tiered_mem::Pid, u64>,
+    /// Reused per-scan buffer for the run of VPNs each process is
+    /// scanned over.
     vpn_scratch: Vec<tiered_mem::Vpn>,
 }
 
@@ -84,17 +85,20 @@ impl HintSampler {
         }
         let per_pid = (budget / pids.len() as u32).max(1);
         for pid in pids {
-            memory.space(pid).sorted_vpns_into(&mut self.vpn_scratch);
-            let vpns = &self.vpn_scratch;
-            if vpns.is_empty() {
+            // The cursor is a rank in address order; read just this
+            // scan's run of VPNs from the page table's window index.
+            let space = memory.space(pid);
+            let entries = space.total_pages() as usize;
+            if entries == 0 {
                 continue;
             }
-            let start = *self.cursors.get(&pid).unwrap_or(&0) as usize % vpns.len();
+            let start = *self.cursors.get(&pid).unwrap_or(&0) as usize % entries;
+            space.ranked_vpns_into(start, per_pid as usize, &mut self.vpn_scratch);
             let mut scanned = 0usize;
-            let mut idx = start;
-            while scanned < vpns.len() && marked < budget && (scanned as u32) < per_pid {
-                let vpn = vpns[idx];
-                idx = (idx + 1) % vpns.len();
+            for &vpn in &self.vpn_scratch {
+                if marked >= budget {
+                    break;
+                }
                 scanned += 1;
                 let Some(PageLocation::Mapped(pfn)) = memory.space(pid).translate(vpn) else {
                     continue;
@@ -121,7 +125,8 @@ impl HintSampler {
                     memory.vmstat_mut().count(VmEvent::NumaPteUpdates);
                 }
             }
-            self.cursors.insert(pid, idx as u64);
+            self.cursors
+                .insert(pid, ((start + scanned) % entries) as u64);
         }
         marked
     }

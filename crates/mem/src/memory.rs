@@ -1478,9 +1478,11 @@ impl Memory {
                 used - tails - on_lists
             );
         }
-        // 4. Page-table ↔ frame-owner bijection.
+        // 4. Page-table ↔ frame-owner bijection, and each page table's
+        //    window index agrees with its entries.
         let mut mapped = 0u64;
         for (pid, space) in self.spaces.iter() {
+            space.validate();
             for (vpn, loc) in space.iter() {
                 match loc {
                     PageLocation::Mapped(pfn) => {

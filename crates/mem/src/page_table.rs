@@ -8,9 +8,18 @@
 //! fibonacci (multiply-shift) hashing, linear probing, and tombstone-free
 //! backshift deletion, and the fault path keeps a one-entry
 //! last-translation cache in front of it.
+//!
+//! Next to the hash table sits an ordered occupancy index
+//! ([`WindowIndex`]): one 512-bit bitmap per aligned huge-page window that
+//! holds any entry. The background scanners (khugepaged, the hint
+//! sampler) resume from a cursor in address order; the index lets them
+//! enumerate windows, or a run of VPNs from any rank, without collecting
+//! and sorting the whole table on every wakeup.
 
 use std::cell::Cell;
+use std::collections::btree_map::{BTreeMap, Entry};
 
+use crate::frame::HUGE_PAGE_FRAMES;
 use crate::swap::SwapSlot;
 use crate::types::{Pfn, Pid, Vpn};
 
@@ -183,6 +192,87 @@ impl VpnMap {
     }
 }
 
+/// Words in one window bitmap: one bit per VPN of a huge-page window.
+const WINDOW_WORDS: usize = (HUGE_PAGE_FRAMES / 64) as usize;
+
+/// Ordered occupancy index over a page table: for every aligned
+/// [`HUGE_PAGE_FRAMES`]-VPN window holding at least one entry, a bitmap
+/// with bit `vpn - base` set exactly when `vpn` has an entry. Windows
+/// with no entries are absent, so walking the map is O(occupied windows).
+#[derive(Clone, Debug, Default)]
+struct WindowIndex {
+    windows: BTreeMap<u64, [u64; WINDOW_WORDS]>,
+}
+
+impl WindowIndex {
+    #[inline]
+    fn split(vpn: u64) -> (u64, usize, u64) {
+        let off = vpn % HUGE_PAGE_FRAMES;
+        (vpn - off, (off / 64) as usize, 1 << (off % 64))
+    }
+
+    fn insert(&mut self, vpn: u64) {
+        let (base, word, bit) = Self::split(vpn);
+        let bits = self.windows.entry(base).or_insert([0; WINDOW_WORDS]);
+        debug_assert_eq!(bits[word] & bit, 0, "Vpn({vpn}) indexed twice");
+        bits[word] |= bit;
+    }
+
+    fn remove(&mut self, vpn: u64) {
+        let (base, word, bit) = Self::split(vpn);
+        let Entry::Occupied(mut e) = self.windows.entry(base) else {
+            panic!("Vpn({vpn}) missing from the window index");
+        };
+        let bits = e.get_mut();
+        debug_assert_ne!(
+            bits[word] & bit,
+            0,
+            "Vpn({vpn}) missing from the window index"
+        );
+        bits[word] &= !bit;
+        if bits.iter().all(|&w| w == 0) {
+            e.remove();
+        }
+    }
+
+    fn contains(&self, vpn: u64) -> bool {
+        let (base, word, bit) = Self::split(vpn);
+        self.windows
+            .get(&base)
+            .is_some_and(|bits| bits[word] & bit != 0)
+    }
+
+    fn count(bits: &[u64; WINDOW_WORDS]) -> usize {
+        bits.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// Pushes the VPNs of one window in ascending order, skipping the
+    /// first `skip` and stopping once `out` holds `limit`.
+    fn push_window(
+        base: u64,
+        bits: &[u64; WINDOW_WORDS],
+        mut skip: usize,
+        limit: usize,
+        out: &mut Vec<Vpn>,
+    ) {
+        for (i, &word) in bits.iter().enumerate() {
+            let mut w = word;
+            while w != 0 {
+                if out.len() == limit {
+                    return;
+                }
+                let bit = w.trailing_zeros() as u64;
+                w &= w - 1;
+                if skip > 0 {
+                    skip -= 1;
+                } else {
+                    out.push(Vpn(base + i as u64 * 64 + bit));
+                }
+            }
+        }
+    }
+}
+
 /// One process' page table.
 ///
 /// # Examples
@@ -200,6 +290,9 @@ impl VpnMap {
 pub struct AddressSpace {
     pid: Pid,
     map: VpnMap,
+    /// Ordered occupancy of `map`, updated only when an entry is added or
+    /// removed (replacing an entry leaves it alone).
+    index: WindowIndex,
     resident: u64,
     swapped: u64,
     /// One-entry last-translation cache: workloads re-touch the same page
@@ -213,6 +306,7 @@ impl AddressSpace {
         AddressSpace {
             pid,
             map: VpnMap::new(),
+            index: WindowIndex::default(),
             resident: 0,
             swapped: 0,
             last: Cell::new(None),
@@ -262,7 +356,7 @@ impl AddressSpace {
     pub fn map(&mut self, vpn: Vpn, pfn: Pfn) -> Option<PageLocation> {
         let loc = PageLocation::Mapped(pfn);
         let prev = self.map.insert(vpn.0, loc);
-        self.account_remove(prev);
+        self.account_replace(vpn, prev);
         self.resident += 1;
         self.last.set(Some((vpn, loc)));
         prev
@@ -274,7 +368,7 @@ impl AddressSpace {
     pub fn set_swapped(&mut self, vpn: Vpn, slot: SwapSlot) -> Option<PageLocation> {
         let loc = PageLocation::Swapped(slot);
         let prev = self.map.insert(vpn.0, loc);
-        self.account_remove(prev);
+        self.account_replace(vpn, prev);
         self.swapped += 1;
         self.last.set(Some((vpn, loc)));
         prev
@@ -283,6 +377,9 @@ impl AddressSpace {
     /// Removes the entry for `vpn`, returning where it was.
     pub fn unmap(&mut self, vpn: Vpn) -> Option<PageLocation> {
         let prev = self.map.remove(vpn.0);
+        if prev.is_some() {
+            self.index.remove(vpn.0);
+        }
         self.account_remove(prev);
         if let Some((v, _)) = self.last.get() {
             if v == vpn {
@@ -290,6 +387,15 @@ impl AddressSpace {
             }
         }
         prev
+    }
+
+    /// Accounting for an insert over `prev`: a new entry is indexed, a
+    /// replaced one only changes the resident/swapped split.
+    fn account_replace(&mut self, vpn: Vpn, prev: Option<PageLocation>) {
+        if prev.is_none() {
+            self.index.insert(vpn.0);
+        }
+        self.account_remove(prev);
     }
 
     fn account_remove(&mut self, prev: Option<PageLocation>) {
@@ -305,20 +411,76 @@ impl AddressSpace {
         self.map.iter().map(|(v, l)| (Vpn(v), l))
     }
 
-    /// Collects all VPNs, sorted (for deterministic scanning).
-    pub fn sorted_vpns(&self) -> Vec<Vpn> {
-        let mut v = Vec::new();
-        self.sorted_vpns_into(&mut v);
-        v
+    /// Base VPNs of the aligned [`HUGE_PAGE_FRAMES`]-VPN windows holding
+    /// at least one entry (mapped or swapped), in ascending order.
+    /// O(occupied windows).
+    pub fn windows(&self) -> impl Iterator<Item = Vpn> + '_ {
+        self.index.windows.keys().map(|&base| Vpn(base))
     }
 
-    /// Like [`AddressSpace::sorted_vpns`], but reuses `out` instead of
-    /// allocating — the sampler calls this every scan tick.
-    pub fn sorted_vpns_into(&self, out: &mut Vec<Vpn>) {
+    /// Replaces `out` with up to `n` VPNs in ascending address order,
+    /// starting at the `rank`-th entry (0-based, taken modulo the entry
+    /// count) and wrapping past the last entry to the first. Never yields
+    /// a VPN twice, so at most [`AddressSpace::total_pages`] are returned.
+    /// O(occupied windows + n).
+    pub fn ranked_vpns_into(&self, rank: usize, n: usize, out: &mut Vec<Vpn>) {
         out.clear();
-        out.reserve(self.map.len());
-        out.extend(self.map.iter().map(|(v, _)| Vpn(v)));
-        out.sort_unstable();
+        let total = self.map.len();
+        if total == 0 {
+            return;
+        }
+        let limit = n.min(total);
+        out.reserve(limit);
+        // Find the window holding the `rank`-th entry.
+        let mut skip = rank % total;
+        let mut start = 0;
+        for (&base, bits) in &self.index.windows {
+            let count = WindowIndex::count(bits);
+            if skip < count {
+                start = base;
+                break;
+            }
+            skip -= count;
+        }
+        // From there to the end, then wrap round to (and into) the start
+        // window; `limit <= total` stops the walk before any repeat.
+        let tail = self.index.windows.range(start..);
+        let head = self.index.windows.range(..=start);
+        for (&base, bits) in tail.chain(head) {
+            if out.len() == limit {
+                break;
+            }
+            WindowIndex::push_window(base, bits, skip, limit, out);
+            skip = 0;
+        }
+    }
+
+    /// Asserts the window index matches the table: every entry's bit is
+    /// set, no window is empty, and the set bits number exactly the
+    /// entries. Part of [`crate::Memory::validate`].
+    pub fn validate(&self) {
+        let indexed: usize = self.index.windows.values().map(WindowIndex::count).sum();
+        assert_eq!(
+            indexed,
+            self.map.len(),
+            "{}: window index holds {indexed} VPNs, page table {}",
+            self.pid,
+            self.map.len()
+        );
+        for (base, bits) in &self.index.windows {
+            assert!(
+                bits.iter().any(|&w| w != 0),
+                "{}: empty window {base}",
+                self.pid
+            );
+        }
+        for (vpn, _) in self.map.iter() {
+            assert!(
+                self.index.contains(vpn),
+                "{}: Vpn({vpn}) mapped but not indexed",
+                self.pid
+            );
+        }
     }
 }
 
@@ -372,16 +534,22 @@ mod tests {
     }
 
     #[test]
-    fn sorted_vpns_are_sorted() {
+    fn ranked_vpns_are_sorted_and_wrap() {
         let mut s = AddressSpace::new(Pid(1));
         for v in [9u64, 3, 7, 1] {
             s.map(Vpn(v), Pfn(v as u32));
         }
-        assert_eq!(s.sorted_vpns(), vec![Vpn(1), Vpn(3), Vpn(7), Vpn(9)]);
-        // The `_into` variant reuses the buffer and fully replaces it.
+        // The buffer is fully replaced, not appended to.
         let mut buf = vec![Vpn(999)];
-        s.sorted_vpns_into(&mut buf);
+        s.ranked_vpns_into(0, usize::MAX, &mut buf);
         assert_eq!(buf, vec![Vpn(1), Vpn(3), Vpn(7), Vpn(9)]);
+        // Start at rank 2, wrap past the end, never repeat.
+        s.ranked_vpns_into(2, 3, &mut buf);
+        assert_eq!(buf, vec![Vpn(7), Vpn(9), Vpn(1)]);
+        s.ranked_vpns_into(6, 10, &mut buf);
+        assert_eq!(buf, vec![Vpn(7), Vpn(9), Vpn(1), Vpn(3)]);
+        s.ranked_vpns_into(1, 0, &mut buf);
+        assert!(buf.is_empty());
     }
 
     #[test]

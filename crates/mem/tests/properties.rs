@@ -7,7 +7,12 @@
 //! local SplitMix64 generator instead of proptest; every case is a pure
 //! function of its seed.
 
-use tiered_mem::{LruKind, Memory, NodeId, NodeKind, PageLocation, PageType, Pfn, Pid, Vpn};
+use std::collections::BTreeSet;
+
+use tiered_mem::{
+    AddressSpace, LruKind, Memory, NodeId, NodeKind, PageLocation, PageType, Pfn, Pid, SwapSlot,
+    Vpn, HUGE_PAGE_FRAMES,
+};
 
 /// Minimal deterministic generator for test sequences (SplitMix64).
 struct TestRng(u64);
@@ -240,6 +245,62 @@ fn lru_is_a_partition() {
                 m.frames().used_pages(node),
                 "seed {seed} node {node:?}"
             );
+        }
+    }
+}
+
+/// The page table's ordered window index agrees with a sorted-set model
+/// under random `map` / `set_swapped` / `unmap` sequences, replacements
+/// included, over VPNs straddling window edges (511/512) and the
+/// `1 << 32` and `3 << 32` region bases. After every step the window list equals the deduplicated
+/// window bases of the sorted VPNs, and a ranked run from a random rank
+/// equals the sorted VPNs rotated to that rank.
+#[test]
+fn window_index_matches_sorted_model() {
+    /// Window edges the VPNs straddle.
+    const EDGES: [u64; 4] = [512, 1536, 1 << 32, 3 << 32];
+    let mut buf = Vec::new();
+    for seed in 4000..4032u64 {
+        let mut rng = TestRng(seed);
+        let mut space = AddressSpace::new(Pid(1));
+        let mut model: BTreeSet<u64> = BTreeSet::new();
+        for _ in 0..400 {
+            let edge = EDGES[rng.below(EDGES.len() as u64) as usize];
+            let vpn = edge - 16 + rng.below(32);
+            match rng.below(3) {
+                0 => {
+                    let prev = space.map(Vpn(vpn), Pfn(rng.below(1 << 20) as u32));
+                    assert_eq!(prev.is_some(), !model.insert(vpn));
+                }
+                1 => {
+                    let prev = space.set_swapped(Vpn(vpn), SwapSlot(rng.below(1 << 20)));
+                    assert_eq!(prev.is_some(), !model.insert(vpn));
+                }
+                _ => {
+                    let prev = space.unmap(Vpn(vpn));
+                    assert_eq!(prev.is_some(), model.remove(&vpn));
+                }
+            }
+            space.validate();
+            let sorted: Vec<Vpn> = model.iter().map(|&v| Vpn(v)).collect();
+            let mut windows: Vec<Vpn> = sorted
+                .iter()
+                .map(|v| Vpn(v.0 - v.0 % HUGE_PAGE_FRAMES))
+                .collect();
+            windows.dedup();
+            assert_eq!(space.windows().collect::<Vec<_>>(), windows, "seed {seed}");
+            let r = rng.below(128) as usize;
+            let n = rng.below(80) as usize;
+            space.ranked_vpns_into(r, n, &mut buf);
+            let expected: Vec<Vpn> = if sorted.is_empty() {
+                Vec::new()
+            } else {
+                let mut rotated = sorted.clone();
+                rotated.rotate_left(r % sorted.len());
+                rotated.truncate(n);
+                rotated
+            };
+            assert_eq!(buf, expected, "seed {seed} rank {r} n {n}");
         }
     }
 }

@@ -5,7 +5,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo fmt --check
-cargo clippy --workspace -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
 cargo test -q --workspace
 # Rustdoc must build warnings-clean (broken intra-doc links etc.).
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q --workspace
