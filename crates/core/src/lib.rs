@@ -11,8 +11,10 @@
 //! ## Layers
 //!
 //! * [`policy`] — placement policies over the [`tiered_mem`] substrate.
-//! * [`System`] — one machine + one policy + one workload, run under a
-//!   deterministic nanosecond clock.
+//! * [`System`] — one machine + one policy running one or more workloads
+//!   ([`System::colocated`]), each on its own deterministic nanosecond
+//!   clock, through one run loop and one access path. [`MultiSystem`] is
+//!   the co-located constructor under its older name.
 //! * [`configs`] — the paper's machine setups (all-local, 2:1, 1:4).
 //! * [`experiment`] — (workload × machine × policy) cells reduced to the
 //!   figures' quantities.

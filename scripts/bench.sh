@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Performance snapshot: the substrate microbench suite plus a timed
-# standard-scale `repro` run, merged into one JSON report (default:
-# BENCH_repro.json at the repo root, which is checked in).
+# Performance snapshot: the substrate, hot-path and policy microbench
+# suites plus a timed standard-scale `repro` run, merged into one JSON
+# report (default: BENCH_repro.json at the repo root, which is checked
+# in).
 #
 #   scripts/bench.sh [output.json]     # JOBS=4 scripts/bench.sh to pin jobs
 set -euo pipefail
@@ -19,6 +20,8 @@ echo "running substrate microbenches..." >&2
 cargo bench -q -p tpp-bench --bench substrate 2>/dev/null | tee "$tmp/micro.txt" >&2
 echo "running hotpath microbenches..." >&2
 cargo bench -q -p tpp-bench --bench hotpath 2>/dev/null | tee -a "$tmp/micro.txt" >&2
+echo "running policy microbenches..." >&2
+cargo bench -q -p tpp-bench --bench policies 2>/dev/null | tee -a "$tmp/micro.txt" >&2
 
 echo "running standard-scale repro (--jobs $JOBS)..." >&2
 ./target/release/repro all --jobs "$JOBS" --csv "$tmp/results" \

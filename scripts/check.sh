@@ -11,35 +11,37 @@ cargo test -q --workspace
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q --workspace
 # Benches must at least compile (running them is bench.sh's job).
 cargo bench --no-run -q -p tpp-bench
+# The benchmark worker links the engine crates: an API change that
+# breaks it must fail here, not only when the benchmark runs.
+cargo build --release -q --offline --locked --manifest-path perfbench/Cargo.toml --target-dir target/perfbench
 
-# Determinism gates: each reduced-scale target must produce
-# byte-identical tables with and without the parallel executor. (The
-# checked-in expected/ snapshots are standard-scale, so the quick run is
-# gated against itself: --jobs 1 vs --jobs 2.)
-#   all       executor determinism over every target on two nodes;
-#   topology  the multi-preset grid: cells span several machine shapes,
-#             so it exercises scheduling paths `all` with two nodes does
-#             not;
-#   thp       the huge-page grid: khugepaged/kcompactd run in every
-#             non-`never` cell, so it exercises the compound-page paths
-#             the base-page targets never touch.
+# Reduced-scale gates over every target (`all` includes the multi-preset
+# topology grid and the huge-page grid):
+#   determinism  --jobs 2 must produce byte-identical tables and stdout
+#                to --jobs 1;
+#   values       the --jobs 1 tables must match the checked-in quick
+#                snapshots in crates/bench/expected/quick/ byte for byte
+#                (the standard-scale snapshots one level up are gated
+#                within ±2% by a standard-scale `repro all`, run by hand).
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 cargo build --release -q -p tpp-bench --bin repro
-for gate in "all executor" "topology topology" "thp thp"; do
-  read -r target name <<<"$gate"
-  ./target/release/repro "$target" --quick --jobs 1 --csv "$tmp/$target.j1" >"$tmp/$target.j1.out" 2>/dev/null
-  ./target/release/repro "$target" --quick --jobs 2 --csv "$tmp/$target.j2" >"$tmp/$target.j2.out" 2>/dev/null
-  diff -r "$tmp/$target.j1" "$tmp/$target.j2" >/dev/null || {
-    echo "$name determinism gate FAILED: --jobs 2 CSV tables differ from --jobs 1" >&2
-    exit 1
-  }
-  diff "$tmp/$target.j1.out" "$tmp/$target.j2.out" >/dev/null || {
-    echo "$name determinism gate FAILED: --jobs 2 stdout differs from --jobs 1" >&2
-    exit 1
-  }
-  echo "$name determinism gate: --jobs 2 output byte-identical to --jobs 1"
-done
+./target/release/repro all --quick --jobs 1 --csv "$tmp/j1" >"$tmp/j1.out" 2>/dev/null
+./target/release/repro all --quick --jobs 2 --csv "$tmp/j2" >"$tmp/j2.out" 2>/dev/null
+diff -r "$tmp/j1" "$tmp/j2" >/dev/null || {
+  echo "determinism gate FAILED: --jobs 2 CSV tables differ from --jobs 1" >&2
+  exit 1
+}
+diff "$tmp/j1.out" "$tmp/j2.out" >/dev/null || {
+  echo "determinism gate FAILED: --jobs 2 stdout differs from --jobs 1" >&2
+  exit 1
+}
+echo "determinism gate: --jobs 2 output byte-identical to --jobs 1"
+diff -rq crates/bench/expected/quick "$tmp/j1" >&2 || {
+  echo "quick snapshot gate FAILED: the tables above differ from crates/bench/expected/quick/" >&2
+  exit 1
+}
+echo "quick snapshot gate: every table byte-identical to crates/bench/expected/quick/"
 
 # If this change regenerated the checked-in bench report, surface the
 # throughput delta for review.

@@ -1,20 +1,71 @@
-//! Telemetry integration: counter↔trace parity across every policy,
-//! mid-run sink attachment, decision-reason coverage, and the §5.5
-//! ping-pong diagnosis on a thrashing configuration.
+//! Telemetry integration: counter↔trace parity across every policy and
+//! machine shape, mid-run sink attachment, decision-reason coverage, and
+//! the §5.5 ping-pong diagnosis on a thrashing configuration.
 
 use tiered_mem::telemetry::{replay_counters, RingSink, TRACED_COUNTERS};
-use tiered_mem::{TraceEvent, VmEvent};
+use tiered_mem::{Memory, NodeKind, ThpMode, TraceEvent, VmEvent};
 use tiered_sim::SEC;
 use tpp::experiment::PolicyChoice;
 use tpp::metrics::{decision_summary, ping_pong_report};
+use tpp::policy::UnsupportedConfig;
 use tpp::{configs, System};
+
+/// The machine shapes the counter↔trace parity test runs every policy on.
+#[derive(Clone, Copy, Debug)]
+enum Shape {
+    /// Cache1 alone on a pressured 2:1 machine.
+    Single,
+    /// Cache1 and Data Warehouse as two lanes of one 2:1 machine.
+    Colocated,
+    /// The fragmenter on a 1:4 machine with THP `always`, so faults,
+    /// khugepaged, kcompactd and compound migration all emit events.
+    ThpAlways,
+}
+
+impl Shape {
+    fn build(self, choice: &PolicyChoice) -> Result<System, UnsupportedConfig> {
+        match self {
+            Shape::Single => {
+                let profile = tiered_workloads::cache1(4_000);
+                let machine = configs::two_to_one(profile.working_set_pages());
+                System::new(machine, choice.build(), Box::new(profile.build()), 11)
+            }
+            Shape::Colocated => {
+                let cache = tiered_workloads::cache1(2_000);
+                let warehouse = tiered_workloads::data_warehouse(2_000);
+                let ws = cache.working_set_pages() + warehouse.working_set_pages();
+                System::colocated(
+                    configs::two_to_one(ws),
+                    choice.build(),
+                    vec![Box::new(cache.build()), Box::new(warehouse.build())],
+                    11,
+                )
+            }
+            Shape::ThpAlways => {
+                let profile = tiered_workloads::fragmenter(8_000);
+                let ws = profile.working_set_pages();
+                let total = ws * 105 / 100;
+                let mut builder = Memory::builder();
+                builder
+                    .node(NodeKind::LocalDram, total / 5)
+                    .node(NodeKind::Cxl, total - total / 5)
+                    .swap_pages(ws * 4)
+                    .thp_mode(ThpMode::Always);
+                System::new(
+                    builder.build(),
+                    choice.build(),
+                    Box::new(profile.build()),
+                    11,
+                )
+            }
+        }
+    }
+}
 
 /// Runs `choice` on a pressured 2:1 machine with an unbounded ring
 /// attached from the start; returns the ring and the finished system.
 fn traced_run(choice: &PolicyChoice, duration_ns: u64) -> (RingSink, System) {
-    let profile = tiered_workloads::cache1(4_000);
-    let machine = configs::two_to_one(profile.working_set_pages());
-    let mut system = System::new(machine, choice.build(), Box::new(profile.build()), 11).unwrap();
+    let mut system = Shape::Single.build(choice).unwrap();
     let ring = RingSink::unbounded();
     system.set_event_sink(Box::new(ring.clone()));
     system.run(duration_ns);
@@ -31,20 +82,47 @@ const ALL_POLICIES: [PolicyChoice; 5] = [
 
 #[test]
 fn counters_equal_trace_event_counts_for_every_policy() {
-    for choice in &ALL_POLICIES {
-        let (ring, system) = traced_run(choice, 8 * SEC);
-        let records = ring.snapshot();
-        assert!(!records.is_empty(), "{}: empty trace", choice.label());
-        let replayed = replay_counters(&records);
-        let vm = system.memory().vmstat();
-        for &event in TRACED_COUNTERS {
-            assert_eq!(
-                vm.get(event),
-                replayed.get(event),
-                "{}: counter {} disagrees with the trace",
-                choice.label(),
-                event.name()
+    for shape in [Shape::Single, Shape::Colocated, Shape::ThpAlways] {
+        for choice in &ALL_POLICIES {
+            let Ok(mut system) = shape.build(choice) else {
+                assert!(
+                    matches!(
+                        (shape, choice),
+                        (Shape::ThpAlways, PolicyChoice::AutoTiering)
+                    ),
+                    "{shape:?}: {} refused the machine",
+                    choice.label()
+                );
+                continue;
+            };
+            let ring = RingSink::unbounded();
+            system.set_event_sink(Box::new(ring.clone()));
+            system.run(8 * SEC);
+            let records = ring.snapshot();
+            assert!(
+                !records.is_empty(),
+                "{shape:?}: {}: empty trace",
+                choice.label()
             );
+            let replayed = replay_counters(&records);
+            let vm = system.memory().vmstat();
+            // In-memory swap has no huge-page fault path.
+            if matches!(shape, Shape::ThpAlways) && !matches!(choice, PolicyChoice::InMemorySwap) {
+                assert!(
+                    vm.get(VmEvent::ThpFaultAlloc) > 0,
+                    "{}: no huge page was faulted in",
+                    choice.label()
+                );
+            }
+            for &event in TRACED_COUNTERS {
+                assert_eq!(
+                    vm.get(event),
+                    replayed.get(event),
+                    "{shape:?}: {}: counter {} disagrees with the trace",
+                    choice.label(),
+                    event.name()
+                );
+            }
         }
     }
 }
