@@ -1,14 +1,14 @@
-//! Micro-benchmarks for the per-access hot path: the three layers an
-//! access flows through millions of times per simulated second —
-//! workload rank sampling, region geometry + offset resolution, and the
-//! system's access-resolution fast path. Runs with `harness = false` on
+//! Micro-benchmarks for the per-access hot path: the layers an access
+//! flows through millions of times per simulated second — workload rank
+//! sampling, region geometry + offset resolution, whole-op generation,
+//! and the system's access-resolution path. Runs with `harness = false` on
 //! the in-tree [`tpp_bench::microbench`] harness (no external deps).
 
 use tpp_bench::microbench::bench;
 
 use tiered_mem::{PageLocation, PageType, Vpn};
-use tiered_sim::{Access, AccessKind, SimRng, Workload, SEC};
-use tiered_workloads::{RegionSpec, WindowedRegion, ZipfSampler};
+use tiered_sim::{Access, AccessKind, Op, SimRng, Workload, SEC};
+use tiered_workloads::{RegionSpec, WindowedRegion, WorkloadProfile, ZipfSampler};
 use tpp::policy::Tpp;
 use tpp::{configs, System};
 
@@ -34,6 +34,27 @@ fn bench_region_sample() {
     bench("hotpath/region_sample", || {
         now += 1_000; // ~1 µs between accesses
         std::hint::black_box(region.sample(now, &mut rng));
+    });
+}
+
+/// Steady-state op generation: `next_op_into` on one reused buffer, the
+/// way the run loop drives a workload, after warm-up and the first
+/// materialisation bursts.
+fn bench_next_op(name: &str, profile: WorkloadProfile) {
+    // Simulated time per op: about a Cache1 op's CPU burst plus stalls.
+    const OP_NS: u64 = 15_000;
+    let mut workload = profile.build();
+    let mut rng = SimRng::seed(45);
+    let mut op = Op::default();
+    let mut now = 0u64;
+    while workload.in_warmup() || now < SEC {
+        workload.next_op_into(now, &mut rng, &mut op);
+        now += OP_NS;
+    }
+    bench(name, || {
+        workload.next_op_into(now, &mut rng, &mut op);
+        now += OP_NS;
+        std::hint::black_box(&op);
     });
 }
 
@@ -78,5 +99,14 @@ fn bench_execute_access_hot() {
 fn main() {
     bench_zipf_sample();
     bench_region_sample();
+    bench_next_op("hotpath/next_op_cache1", tiered_workloads::cache1(24_000));
+    bench_next_op(
+        "hotpath/next_op_fragmenter",
+        tiered_workloads::fragmenter(24_000),
+    );
+    bench_next_op(
+        "hotpath/next_op_data_warehouse",
+        tiered_workloads::data_warehouse(12_000),
+    );
     bench_execute_access_hot();
 }

@@ -120,18 +120,13 @@ impl RunMetrics {
         self.accesses += 1;
         self.window_accesses += 1;
         self.access_latency_ns += latency_ns;
-        if is_local {
-            self.local_accesses += 1;
-            self.window_local += 1;
-        } else {
-            self.cxl_accesses += 1;
-        }
-        if is_anon {
-            self.anon_accesses += 1;
-            if is_local {
-                self.anon_local_accesses += 1;
-            }
-        }
+        // Branch-free: locality and page type are close to coin flips
+        // on most workloads, so branches here mispredict often.
+        self.local_accesses += is_local as u64;
+        self.window_local += is_local as u64;
+        self.cxl_accesses += !is_local as u64;
+        self.anon_accesses += is_anon as u64;
+        self.anon_local_accesses += (is_anon & is_local) as u64;
     }
 
     /// Takes a sample at `now_ns`: window rates plus memory-state gauges.

@@ -13,7 +13,7 @@
 
 use tiered_mem::{EventSink, Memory, NodeId, PageFlags, PageKey, PageLocation, Pfn, TraceEvent};
 use tiered_sim::{
-    Access, AccessKind, AccessObserver, LatencyModel, NullObserver, Periodic, SimRng, Workload,
+    Access, AccessKind, AccessObserver, LatencyModel, NullObserver, Op, Periodic, SimRng, Workload,
     WorkloadEvent,
 };
 
@@ -66,6 +66,9 @@ pub struct System {
     node_latency_ns: Vec<u64>,
     /// Whether each node is CPU-attached, indexed by `NodeId`.
     node_is_local: Vec<bool>,
+    /// The op buffer every lane's workload generates into, reused so a
+    /// steady-state op allocates nothing.
+    op: Op,
 }
 
 impl System {
@@ -131,6 +134,7 @@ impl System {
             sample_timer: Periodic::new(RunMetrics::sample_period_ns()),
             node_latency_ns,
             node_is_local,
+            op: Op::default(),
         })
     }
 
@@ -222,7 +226,12 @@ impl System {
         {
             let now = self.lanes[i].clock_ns;
             self.memory.set_trace_now(now);
-            let op = self.lanes[i].workload.next_op(now, &mut self.rng);
+            // Taken out of `self` while its events execute, then put back
+            // so its capacity carries over to the next op.
+            let mut op = std::mem::take(&mut self.op);
+            self.lanes[i]
+                .workload
+                .next_op_into(now, &mut self.rng, &mut op);
             let mut mem_ns = 0u64;
             for event in &op.events {
                 match *event {
@@ -237,6 +246,7 @@ impl System {
             // A zero-cost op still takes a nanosecond, and the lane's
             // metrics record exactly the time its clock advanced.
             let op_ns = (op.cpu_ns + mem_ns).max(1);
+            self.op = op;
             let lane = &mut self.lanes[i];
             lane.clock_ns += op_ns;
             lane.metrics.note_op(op_ns, mem_ns);

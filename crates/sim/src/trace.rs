@@ -49,7 +49,7 @@ pub enum WorkloadEvent {
 /// Throughput is defined as completed ops per simulated second; every
 /// access latency adds to the op's duration, which is how page placement
 /// feeds back into application performance.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct Op {
     /// Pure CPU time of the op, excluding memory stalls.
     pub cpu_ns: u64,
@@ -89,6 +89,16 @@ pub trait Workload {
 
     /// Produces the next operation.
     fn next_op(&mut self, now_ns: u64, rng: &mut SimRng) -> Op;
+
+    /// Produces the next operation into `op`, overwriting its `cpu_ns`
+    /// and events; the same op as [`Workload::next_op`] would return.
+    ///
+    /// The run loop calls this with one reused buffer, so a generator
+    /// that fills `op.events` in place allocates nothing per op. The
+    /// default forwards to `next_op`.
+    fn next_op_into(&mut self, now_ns: u64, rng: &mut SimRng, op: &mut Op) {
+        *op = self.next_op(now_ns, rng);
+    }
 
     /// Approximate total working-set size in pages (used to size
     /// machines for ratio configurations such as 2:1 and 1:4).

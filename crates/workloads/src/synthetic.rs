@@ -71,13 +71,23 @@ impl WorkloadProfile {
     ///
     /// # Panics
     ///
-    /// Panics if weights and regions disagree in length, or any warm-up
+    /// Panics if weights and regions disagree in length, any weight is
+    /// negative or non-finite, the weights sum to zero, or any warm-up
     /// index is out of range.
     pub fn build(&self) -> SyntheticWorkload {
         assert_eq!(
             self.regions.len(),
             self.region_weights.len(),
             "one weight per region required"
+        );
+        assert!(
+            self.region_weights
+                .iter()
+                .all(|w| w.is_finite() && *w >= 0.0)
+                && self.region_weights.iter().sum::<f64>() > 0.0,
+            "region weights of {:?} must be finite, non-negative and sum to a positive value: {:?}",
+            self.name,
+            self.region_weights
         );
         if let Some(w) = &self.warmup {
             for &i in &w.region_indices {
@@ -145,21 +155,23 @@ impl SyntheticWorkload {
         self.pool.as_ref().map_or(0, |p| p.live_count())
     }
 
-    fn warmup_op(&mut self) -> Op {
+    /// Fills `op` with the next warm-up op; `op.events` is empty.
+    fn warmup_op_into(&mut self, op: &mut Op) {
         let warmup = self
             .profile
             .warmup
             .clone()
             .expect("in warm-up without a spec");
+        op.cpu_ns = warmup.cpu_ns_per_op;
         if warmup.interleave {
-            return self.warmup_op_interleaved(&warmup);
+            self.warmup_op_interleaved(&warmup, &mut op.events);
+            return;
         }
         let (mut list_pos, mut offset) = self.warmup_pos.expect("warm-up cursor missing");
-        let mut events = Vec::with_capacity(warmup.pages_per_op as usize);
         for _ in 0..warmup.pages_per_op {
             let region_idx = warmup.region_indices[list_pos];
             let spec = self.regions[region_idx].spec();
-            events.push(WorkloadEvent::Access(Access {
+            op.events.push(WorkloadEvent::Access(Access {
                 pid: self.profile.pid,
                 vpn: Vpn(spec.base_vpn + offset),
                 kind: AccessKind::Load,
@@ -174,25 +186,17 @@ impl SyntheticWorkload {
                     for &r in &warmup.region_indices {
                         self.materialize_cursors[r] = self.regions[r].spec().pages;
                     }
-                    return Op {
-                        cpu_ns: warmup.cpu_ns_per_op,
-                        events,
-                    };
+                    return;
                 }
             }
         }
         self.warmup_pos = Some((list_pos, offset));
-        Op {
-            cpu_ns: warmup.cpu_ns_per_op,
-            events,
-        }
     }
 
     /// Proportional warm-up: each page goes to the least-complete region,
     /// so all warmed regions finish together. Uses the materialisation
     /// cursors directly as progress markers.
-    fn warmup_op_interleaved(&mut self, warmup: &WarmupSpec) -> Op {
-        let mut events = Vec::with_capacity(warmup.pages_per_op as usize);
+    fn warmup_op_interleaved(&mut self, warmup: &WarmupSpec, events: &mut Vec<WorkloadEvent>) {
         for _ in 0..warmup.pages_per_op {
             // Pick the least-complete region by progress fraction.
             let mut best: Option<(usize, f64)> = None;
@@ -209,10 +213,7 @@ impl SyntheticWorkload {
             }
             let Some((r, _)) = best else {
                 self.warmup_pos = None;
-                return Op {
-                    cpu_ns: warmup.cpu_ns_per_op,
-                    events,
-                };
+                return;
             };
             let spec = self.regions[r].spec();
             events.push(WorkloadEvent::Access(Access {
@@ -222,10 +223,6 @@ impl SyntheticWorkload {
                 page_type: spec.page_type,
             }));
             self.materialize_cursors[r] += 1;
-        }
-        Op {
-            cpu_ns: warmup.cpu_ns_per_op,
-            events,
         }
     }
 }
@@ -240,11 +237,23 @@ impl Workload for SyntheticWorkload {
     }
 
     fn next_op(&mut self, now_ns: u64, rng: &mut SimRng) -> Op {
+        let mut op = Op {
+            cpu_ns: 0,
+            events: Vec::with_capacity(self.profile.accesses_per_op as usize + 4),
+        };
+        self.next_op_into(now_ns, rng, &mut op);
+        op
+    }
+
+    fn next_op_into(&mut self, now_ns: u64, rng: &mut SimRng, op: &mut Op) {
+        op.events.clear();
         if self.warmup_pos.is_some() {
-            return self.warmup_op();
+            self.warmup_op_into(op);
+            return;
         }
         self.op_seq += 1;
-        let mut events = Vec::with_capacity(self.profile.accesses_per_op as usize + 4);
+        op.cpu_ns = self.profile.cpu_ns_per_op;
+        let events = &mut op.events;
         // Materialise newly allocated region pages (first-touch faults):
         // allocated memory is touched at least once, so working sets
         // occupy real capacity even where the hot window rarely visits.
@@ -276,7 +285,7 @@ impl Workload for SyntheticWorkload {
         }
         // Short-lived churn: expire old pages, allocate fresh ones.
         if let (Some(pool), Some(spec)) = (self.pool.as_mut(), self.profile.transient) {
-            for vpn in pool.take_expired(now_ns) {
+            for vpn in pool.drain_expired(now_ns) {
                 events.push(WorkloadEvent::Free {
                     pid: self.profile.pid,
                     vpn,
@@ -306,10 +315,6 @@ impl Workload for SyntheticWorkload {
                     page_type: PageType::Anon,
                 }));
             }
-        }
-        Op {
-            cpu_ns: self.profile.cpu_ns_per_op,
-            events,
         }
     }
 
@@ -446,6 +451,27 @@ mod tests {
     fn mismatched_weights_rejected() {
         let mut p = tiny_profile(false, false);
         p.region_weights.pop();
+        p.build();
+    }
+
+    #[test]
+    fn invalid_weights_rejected_at_build() {
+        for weights in [[-0.1, 1.0], [f64::NAN, 1.0], [f64::INFINITY, 1.0]] {
+            let mut p = tiny_profile(false, false);
+            p.region_weights = weights.to_vec();
+            let err = std::panic::catch_unwind(|| p.build()).expect_err("built");
+            let msg = err
+                .downcast_ref::<String>()
+                .expect("formatted panic message");
+            assert!(msg.contains("must be finite, non-negative"), "{msg}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "sum to a positive value")]
+    fn zero_sum_weights_rejected() {
+        let mut p = tiny_profile(false, false);
+        p.region_weights = vec![0.0, 0.0];
         p.build();
     }
 }

@@ -21,7 +21,7 @@ use tiered_mem::Vpn;
 /// let mut pool = TransientPool::new(1 << 32, 1024, 1_000_000);
 /// let vpn = pool.allocate(0).expect("pool has room");
 /// assert_eq!(pool.live_count(), 1);
-/// let expired = pool.take_expired(2_000_000);
+/// let expired: Vec<_> = pool.drain_expired(2_000_000).collect();
 /// assert_eq!(expired, vec![vpn]);
 /// assert_eq!(pool.live_count(), 0);
 /// ```
@@ -91,17 +91,18 @@ impl TransientPool {
         Some(self.live[i].0)
     }
 
-    /// Removes and returns every page whose lifetime expired by `now_ns`.
-    pub fn take_expired(&mut self, now_ns: u64) -> Vec<Vpn> {
-        let mut out = Vec::new();
-        while let Some(&(vpn, deadline)) = self.live.front() {
-            if deadline > now_ns {
-                break;
-            }
-            self.live.pop_front();
-            out.push(vpn);
-        }
-        out
+    /// Removes every page whose lifetime expired by `now_ns`, yielding
+    /// each in expiry order.
+    ///
+    /// Pages are popped as the iterator advances, so one that is dropped
+    /// early leaves the rest of the expired pages live.
+    pub fn drain_expired(&mut self, now_ns: u64) -> impl Iterator<Item = Vpn> + '_ {
+        std::iter::from_fn(move || {
+            let (vpn, _) = self
+                .live
+                .pop_front_if(|&mut (_, deadline)| deadline <= now_ns)?;
+            Some(vpn)
+        })
     }
 }
 
@@ -123,9 +124,9 @@ mod tests {
         let mut pool = TransientPool::new(0, 100, 1000);
         let a = pool.allocate(0).unwrap(); // expires at 1000
         let b = pool.allocate(500).unwrap(); // expires at 1500
-        assert!(pool.take_expired(999).is_empty());
-        assert_eq!(pool.take_expired(1000), vec![a]);
-        assert_eq!(pool.take_expired(10_000), vec![b]);
+        assert_eq!(pool.drain_expired(999).next(), None);
+        assert_eq!(pool.drain_expired(1000).collect::<Vec<_>>(), vec![a]);
+        assert_eq!(pool.drain_expired(10_000).collect::<Vec<_>>(), vec![b]);
         assert_eq!(pool.live_count(), 0);
     }
 
@@ -134,7 +135,7 @@ mod tests {
         let mut pool = TransientPool::new(50, 2, 10);
         let a = pool.allocate(0).unwrap();
         let b = pool.allocate(0).unwrap();
-        pool.take_expired(100);
+        pool.drain_expired(100).for_each(drop);
         let c = pool.allocate(100).unwrap();
         assert_eq!(c, a); // wrapped around
         assert_ne!(c, b);
@@ -146,7 +147,7 @@ mod tests {
         assert!(pool.allocate(0).is_some());
         assert!(pool.allocate(0).is_some());
         assert_eq!(pool.allocate(0), None);
-        pool.take_expired(100);
+        pool.drain_expired(100).for_each(drop);
         assert!(pool.allocate(100).is_some());
     }
 

@@ -114,7 +114,7 @@ impl ZipfSampler {
 
     /// Draws one rank in `[0, n)`; rank 0 is the hottest.
     ///
-    /// O(1): one RNG step, one table probe.
+    /// O(1): one RNG step, one table probe, no data-dependent branch.
     #[inline]
     pub fn sample(&self, rng: &mut SimRng) -> u64 {
         let x = rng.u64();
@@ -123,11 +123,11 @@ impl ZipfSampler {
         let prod = x as u128 * self.thresh.len() as u128;
         let bucket = (prod >> 64) as usize;
         let coin = prod as u64;
-        if coin < self.thresh[bucket] {
-            bucket as u64
-        } else {
-            self.alias[bucket] as u64
-        }
+        // The coin is close to a fair flip on most buckets, so a branch
+        // here mispredicts often: load the alias unconditionally and
+        // select without branching.
+        let alias = self.alias[bucket] as u64;
+        std::hint::select_unpredictable(coin < self.thresh[bucket], bucket as u64, alias)
     }
 }
 

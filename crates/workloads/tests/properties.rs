@@ -1,8 +1,8 @@
 //! Property-style tests for the workload generators, driven by seeded
 //! [`SimRng`] loops (no external proptest dependency).
 
-use tiered_mem::PageType;
-use tiered_sim::{SimRng, Workload, WorkloadEvent, SEC};
+use tiered_mem::{PageType, Pid, Vpn};
+use tiered_sim::{Op, SimRng, Workload, WorkloadEvent, MS, SEC};
 use tiered_workloads::{RegionSpec, TransientPool, WindowedRegion, ZipfSampler};
 
 /// Region samples never escape the region bounds, at any time, for
@@ -60,7 +60,7 @@ fn transient_pool_is_always_consistent() {
         for _ in 0..steps {
             now += meta.range(0..100);
             let try_alloc = meta.chance(0.5);
-            for vpn in pool.take_expired(now) {
+            for vpn in pool.drain_expired(now) {
                 assert!(live.remove(&vpn), "case {case}: expired {vpn} was not live");
             }
             if try_alloc {
@@ -135,6 +135,61 @@ fn profiles_generate_bounded_ops() {
                     }
                 }
             }
+        }
+    }
+}
+
+/// `next_op_into` on a reused, deliberately dirty buffer produces
+/// exactly the op `next_op` returns on a twin workload, op for op:
+/// through warm-up, the warm-up → steady transition, and churn ops that
+/// carry `Free` events.
+#[test]
+fn next_op_into_a_dirty_buffer_matches_next_op() {
+    let ws = 800;
+    let mut profiles = tiered_workloads::all_production(ws);
+    profiles.push(tiered_workloads::fragmenter(ws));
+    profiles.push(tiered_workloads::thp_friendly(ws));
+    profiles.push(tiered_workloads::uniform(ws));
+    let stale = WorkloadEvent::Free {
+        pid: Pid(999),
+        vpn: Vpn(u64::MAX),
+    };
+    for profile in profiles {
+        let name = profile.name.clone();
+        let mut fresh = profile.build();
+        let mut reused = profile.build();
+        let mut rng_fresh = SimRng::seed(5);
+        let mut rng_reused = SimRng::seed(5);
+        let mut op = Op {
+            cpu_ns: 1,
+            events: vec![stale; 40],
+        };
+        let mut warmup_ops = 0u32;
+        let mut frees = 0u32;
+        // 20 ms apart, so 3k ops outlast every churn lifetime.
+        for i in 0..3_000u64 {
+            let now = i * 20 * MS;
+            warmup_ops += fresh.in_warmup() as u32;
+            let want = fresh.next_op(now, &mut rng_fresh);
+            op.cpu_ns = u64::MAX;
+            op.events.push(stale);
+            reused.next_op_into(now, &mut rng_reused, &mut op);
+            assert_eq!(op.cpu_ns, want.cpu_ns, "{name}: op {i} cpu_ns");
+            assert_eq!(op.events, want.events, "{name}: op {i} events");
+            frees += want
+                .events
+                .iter()
+                .filter(|e| matches!(e, WorkloadEvent::Free { .. }))
+                .count() as u32;
+        }
+        if profile.warmup.is_some() {
+            assert!(
+                warmup_ops > 0 && !fresh.in_warmup(),
+                "{name}: no warm-up transition"
+            );
+        }
+        if profile.transient.is_some() {
+            assert!(frees > 0, "{name}: no churn frees");
         }
     }
 }

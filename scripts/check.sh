@@ -43,6 +43,19 @@ diff -rq crates/bench/expected/quick "$tmp/j1" >&2 || {
 }
 echo "quick snapshot gate: every table byte-identical to crates/bench/expected/quick/"
 
+# Trace gate: the quick-scale `--trace` JSONL must keep its event count
+# and sha256, recorded as "<events> <sha256>" in
+# crates/bench/expected/trace_quick.sha256 (kept outside quick/, whose
+# diff above would flag it).
+./target/release/repro --quick --trace "$tmp/trace.jsonl" >/dev/null 2>&1
+trace_got="$(wc -l <"$tmp/trace.jsonl" | tr -d ' ') $(sha256sum "$tmp/trace.jsonl" | cut -d' ' -f1)"
+trace_want="$(cat crates/bench/expected/trace_quick.sha256)"
+[ "$trace_got" = "$trace_want" ] || {
+  echo "trace gate FAILED: quick --trace JSONL is '$trace_got', expected '$trace_want'" >&2
+  exit 1
+}
+echo "trace gate: quick --trace JSONL byte-identical ($trace_want)"
+
 # If this change regenerated the checked-in bench report, surface the
 # throughput delta for review.
 if ! git diff --quiet HEAD -- BENCH_repro.json 2>/dev/null; then
