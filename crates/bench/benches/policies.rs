@@ -5,7 +5,7 @@
 use tpp_bench::microbench::{bench, bench_with_setup};
 
 use tiered_mem::{Memory, NodeId, NodeKind, PageType, Pid, Vpn};
-use tiered_sim::{LatencyModel, SimRng};
+use tiered_sim::LatencyModel;
 use tpp::policy::{
     HintSampler, LinuxDefault, PlacementPolicy, PolicyCtx, SampleScope, SamplerConfig, Tpp,
 };
@@ -24,7 +24,6 @@ fn bench_fault_path() {
     let lat = LatencyModel::datacenter();
     {
         let mut m = machine(1 << 16, 1 << 16);
-        let mut rng = SimRng::seed(1);
         let mut policy = LinuxDefault::new();
         let mut vpn = 0u64;
         bench("policy/linux_fault_fastpath", || {
@@ -32,7 +31,6 @@ fn bench_fault_path() {
                 memory: &mut m,
                 latency: &lat,
                 now_ns: 0,
-                rng: &mut rng,
             };
             let out = policy.handle_fault(&mut ctx, Pid(1), Vpn(vpn), PageType::Anon);
             std::hint::black_box(out.pfn);
@@ -42,7 +40,6 @@ fn bench_fault_path() {
     }
     {
         let mut m = machine(1 << 16, 1 << 16);
-        let mut rng = SimRng::seed(1);
         let mut policy = Tpp::new();
         let mut vpn = 0u64;
         bench("policy/tpp_fault_fastpath", || {
@@ -50,7 +47,6 @@ fn bench_fault_path() {
                 memory: &mut m,
                 latency: &lat,
                 now_ns: 0,
-                rng: &mut rng,
             };
             let out = policy.handle_fault(&mut ctx, Pid(1), Vpn(vpn), PageType::Anon);
             std::hint::black_box(out.pfn);
@@ -71,14 +67,13 @@ fn bench_demotion_tick() {
                 m.alloc_and_map(NodeId(0), Pid(1), Vpn(i), PageType::File)
                     .unwrap();
             }
-            (m, Tpp::new(), SimRng::seed(2))
+            (m, Tpp::new())
         },
-        |(mut m, mut policy, mut rng)| {
+        |(mut m, mut policy)| {
             let mut ctx = PolicyCtx {
                 memory: &mut m,
                 latency: &lat,
                 now_ns: 0,
-                rng: &mut rng,
             };
             policy.tick(&mut ctx);
             std::hint::black_box(m.vmstat().demoted_total());
@@ -100,15 +95,14 @@ fn bench_promotion_hint_fault() {
                         .unwrap()
                 })
                 .collect();
-            (m, Tpp::new(), SimRng::seed(3), pfns)
+            (m, Tpp::new(), pfns)
         },
-        |(mut m, mut policy, mut rng, pfns)| {
+        |(mut m, mut policy, pfns)| {
             for pfn in pfns {
                 let mut ctx = PolicyCtx {
                     memory: &mut m,
                     latency: &lat,
                     now_ns: 0,
-                    rng: &mut rng,
                 };
                 std::hint::black_box(policy.on_hint_fault(&mut ctx, pfn));
             }

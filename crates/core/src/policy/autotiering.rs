@@ -14,12 +14,16 @@
 //!   [`PlacementPolicy::validate_config`] reproduces as a hard error.
 
 use tiered_mem::telemetry::{PromoteFailReason, PromoteSkipReason};
-use tiered_mem::{Memory, NodeId, PageFlags, PageType, Pfn, Pid, TraceEvent, Vpn};
+use tiered_mem::{Memory, NodeId, PageType, Pfn, Pid, Vpn};
 use tiered_sim::{Periodic, SEC};
 
-use super::huge::{run_huge_daemons, HugeState, COMPOUND_MIGRATE_FACTOR};
-use super::linux_default::{evict_page, fault_with_fallback, LinuxDefaultConfig};
-use super::reclaim::{select_victims_into, DaemonBudget, ReclaimScratch, VictimClass};
+use super::huge::{run_huge_daemons, HugeState};
+use super::linux_default::LinuxDefaultConfig;
+use super::pipeline::{
+    demote_and_reclaim, fault_with_fallback, try_promote, DemoteHooks, Kswapd, PromoteHooks,
+    Refusal,
+};
+use super::reclaim::DaemonBudget;
 use super::sampler::{HintSampler, SampleScope, SamplerConfig};
 use super::{preferred_local_node, FaultOutcome, PlacementPolicy, PolicyCtx, UnsupportedConfig};
 
@@ -64,7 +68,7 @@ pub struct AutoTiering {
     buffer_tokens: u64,
     buffer_capacity: u64,
     initialised: bool,
-    kswapd_active: Vec<bool>,
+    kswapd: Kswapd,
     huge_state: HugeState,
 }
 
@@ -84,14 +88,9 @@ impl AutoTiering {
             buffer_tokens: 0,
             buffer_capacity: 0,
             initialised: false,
-            kswapd_active: Vec::new(),
+            kswapd: Kswapd::new(config.linux.kswapd_budget),
             huge_state: HugeState::default(),
         }
-    }
-
-    /// Current promotion-buffer tokens (for tests and observability).
-    pub fn buffer_tokens(&self) -> u64 {
-        self.buffer_tokens
     }
 
     fn ensure_buffer(&mut self, memory: &Memory) {
@@ -103,107 +102,6 @@ impl AutoTiering {
             self.initialised = true;
         }
     }
-
-    /// Demotion pass on `node`: migrate cold (hotness-zero) inactive pages
-    /// to the CXL node. Coupled to the *classic* watermarks — demotion
-    /// only starts below `low` and stops at `high`, so no headroom is
-    /// maintained beyond what default Linux would keep.
-    fn demote_pass(&mut self, ctx: &mut PolicyCtx<'_>, node: NodeId) {
-        let wm = ctx.memory.node(node).watermarks().base;
-        if !wm.needs_reclaim(ctx.memory.free_pages(node)) {
-            return;
-        }
-        // Nearest lower tier with allocation headroom; the nearest one
-        // takes the pages anyway when all candidates are pressured.
-        let order = *ctx.memory.node(node).demotion_order();
-        let target = order
-            .iter()
-            .copied()
-            .find(|&t| {
-                let twm = ctx.memory.node(t).watermarks().base;
-                twm.allows_allocation(ctx.memory.free_pages(t))
-            })
-            .or_else(|| order.first().copied());
-        let Some(target) = target else {
-            return;
-        };
-        let demote_cost = ctx
-            .latency
-            .migrate_cost_ns(ctx.memory.migrate_hops(node, target));
-        let mut time_left = self.config.demote_budget.time_ns;
-        let mut scratch = ReclaimScratch::from_pool(ctx.memory);
-        while !wm.reclaim_satisfied(ctx.memory.free_pages(node)) && time_left > 0 {
-            let want = (wm.high - ctx.memory.free_pages(node)).min(64) as usize;
-            select_victims_into(
-                ctx.memory,
-                node,
-                want,
-                self.config.demote_budget.scan_pages as usize,
-                VictimClass::AnonAndFile,
-                &mut scratch,
-            );
-            if scratch.victims.is_empty() {
-                break;
-            }
-            let mut progressed = false;
-            for &pfn in &scratch.victims {
-                // Timer-based criterion: only cold-by-counter pages move.
-                if ctx.memory.frames().frame(pfn).hotness() > 1 {
-                    continue;
-                }
-                // AutoTiering always splits a compound before demoting
-                // (split-on-demote): its per-page hotness ranking has no
-                // notion of compound units, so the base pages re-enter the
-                // cold end of the LRU and move individually.
-                if ctx
-                    .memory
-                    .frames()
-                    .frame(pfn)
-                    .flags()
-                    .contains(PageFlags::HEAD)
-                {
-                    ctx.memory.split_huge_page(pfn);
-                    let cost = ctx.latency.migrate_page_ns;
-                    if cost > time_left {
-                        time_left = 0;
-                        break;
-                    }
-                    time_left -= cost;
-                    progressed = true;
-                    continue;
-                }
-                let frame = ctx.memory.frames().frame(pfn);
-                let page_type = frame.page_type();
-                let page = frame.owner().expect("demotion victim is allocated");
-                let cost = match ctx.memory.migrate_page(pfn, target) {
-                    Ok(_) => {
-                        self.buffer_tokens = (self.buffer_tokens + 1).min(self.buffer_capacity);
-                        ctx.memory.record(TraceEvent::Demote {
-                            page,
-                            from: node,
-                            to: target,
-                            page_type,
-                        });
-                        demote_cost
-                    }
-                    Err(_) => match evict_page(ctx.memory, ctx.latency, pfn) {
-                        Some(c) => c,
-                        None => break,
-                    },
-                };
-                if cost > time_left {
-                    time_left = 0;
-                    break;
-                }
-                time_left -= cost;
-                progressed = true;
-            }
-            if !progressed {
-                break;
-            }
-        }
-        scratch.into_pool(ctx.memory);
-    }
 }
 
 impl Default for AutoTiering {
@@ -212,9 +110,67 @@ impl Default for AutoTiering {
     }
 }
 
+impl PromoteHooks for AutoTiering {
+    const NAME: &'static str = "autotiering";
+
+    /// Frequency criterion: only pages hot by counter are candidates.
+    fn skip(&mut self, memory: &mut Memory, pfn: Pfn) -> Option<PromoteSkipReason> {
+        let cold = memory.frames().frame(pfn).hotness() < self.config.hotness_threshold;
+        cold.then_some(PromoteSkipReason::Cold)
+    }
+
+    /// The reserved buffer is the only headroom: promotions need a token
+    /// (or genuine free space above the high watermark). A compound unit
+    /// still takes a single token — the buffer reserves *decisions*, not
+    /// pages.
+    fn admit(&mut self, ctx: &PolicyCtx<'_>, target: NodeId, free: u64) -> Result<(), Refusal> {
+        let wm = ctx.memory.node(target).watermarks();
+        if self.buffer_tokens == 0 && free <= wm.base.high {
+            Err((
+                PromoteFailReason::LowMem,
+                Some("promotion_buffer_exhausted"),
+            ))
+        } else if !wm.allows_promotion(free) {
+            Err((PromoteFailReason::LowMem, None))
+        } else {
+            Ok(())
+        }
+    }
+
+    fn on_promoted(&mut self) {
+        self.buffer_tokens = self.buffer_tokens.saturating_sub(1);
+    }
+}
+
+/// Demotion migrates cold (hotness ≤ 1) inactive pages to the CXL node,
+/// coupled to the *classic* watermarks — it only starts below `low` and
+/// stops at `high`, so no headroom is maintained beyond what default
+/// Linux would keep.
+impl DemoteHooks for AutoTiering {
+    fn kswapd(&mut self) -> &mut Kswapd {
+        &mut self.kswapd
+    }
+
+    /// Timer-based criterion: only cold-by-counter pages move.
+    fn demotable(&self, memory: &Memory, pfn: Pfn) -> bool {
+        memory.frames().frame(pfn).hotness() <= 1
+    }
+
+    /// Per-page hotness ranking has no notion of compound units, so a
+    /// compound is split and its base pages re-enter the cold end of the
+    /// LRU to move individually.
+    fn split_compounds(&self) -> bool {
+        true
+    }
+
+    fn on_demoted(&mut self, _memory: &mut Memory, _new_pfn: Pfn) {
+        self.buffer_tokens = (self.buffer_tokens + 1).min(self.buffer_capacity);
+    }
+}
+
 impl PlacementPolicy for AutoTiering {
     fn name(&self) -> &str {
-        "autotiering"
+        Self::NAME
     }
 
     fn validate_config(&self, memory: &Memory) -> Result<(), UnsupportedConfig> {
@@ -246,103 +202,12 @@ impl PlacementPolicy for AutoTiering {
     ) -> FaultOutcome {
         self.ensure_buffer(ctx.memory);
         let prefer = ctx.memory.home_node(pid);
-        fault_with_fallback(ctx, pid, vpn, page_type, prefer, "autotiering")
+        fault_with_fallback(ctx, pid, vpn, page_type, prefer, Self::NAME)
     }
 
     fn on_hint_fault(&mut self, ctx: &mut PolicyCtx<'_>, pfn: Pfn) -> u64 {
         self.ensure_buffer(ctx.memory);
-        let frame = ctx.memory.frames().frame(pfn);
-        let node = frame.node();
-        let page = frame.owner().expect("hint fault on a free frame");
-        if !ctx.memory.node(node).is_cpu_less() {
-            ctx.memory.record(TraceEvent::HintFaultLocal { page, node });
-            return 0;
-        }
-        // Frequency criterion: only pages hot by counter are candidates.
-        // Previously a silent return — the trace makes the skip visible.
-        if ctx.memory.frames().frame(pfn).hotness() < self.config.hotness_threshold {
-            if ctx.memory.trace_enabled() {
-                ctx.memory.record(TraceEvent::PromoteSkip {
-                    page,
-                    reason: PromoteSkipReason::Cold,
-                });
-            }
-            return 0;
-        }
-        ctx.memory.record(TraceEvent::PromoteCandidate {
-            page,
-            demoted: false,
-        });
-        let target = ctx.memory.home_node(page.pid);
-        let wm = ctx.memory.node(target).watermarks().base;
-        let free = ctx.memory.free_pages(target);
-        // The reserved buffer is the only headroom: promotions need a
-        // token (or genuine free space above the high watermark).
-        if self.buffer_tokens == 0 && free <= wm.high {
-            ctx.memory.record(TraceEvent::PromoteFail {
-                page,
-                reason: PromoteFailReason::LowMem,
-            });
-            ctx.memory.record(TraceEvent::Decision {
-                policy: "autotiering",
-                reason: "promotion_buffer_exhausted",
-                page: Some(page),
-            });
-            return 0;
-        }
-        if free <= wm.min {
-            ctx.memory.record(TraceEvent::PromoteFail {
-                page,
-                reason: PromoteFailReason::LowMem,
-            });
-            return 0;
-        }
-        ctx.memory.record(TraceEvent::PromoteAttempt {
-            page,
-            from: node,
-            to: target,
-        });
-        let page_type = ctx.memory.frames().frame(pfn).page_type();
-        // A hinted compound head promotes as one unit (hint sampling is
-        // head-granular); it still consumes a single buffer token — the
-        // buffer models reserved *decisions*, not pages.
-        let is_head = ctx
-            .memory
-            .frames()
-            .frame(pfn)
-            .flags()
-            .contains(PageFlags::HEAD);
-        let migrated = if is_head {
-            ctx.memory.migrate_huge(pfn, target)
-        } else {
-            ctx.memory.migrate_page(pfn, target)
-        };
-        match migrated {
-            Ok(_) => {
-                self.buffer_tokens = self.buffer_tokens.saturating_sub(1);
-                ctx.memory.record(TraceEvent::PromoteSuccess {
-                    page,
-                    from: node,
-                    to: target,
-                    page_type,
-                });
-                let unit = ctx
-                    .latency
-                    .migrate_cost_ns(ctx.memory.migrate_hops(node, target));
-                if is_head {
-                    unit * COMPOUND_MIGRATE_FACTOR
-                } else {
-                    unit
-                }
-            }
-            Err(_) => {
-                ctx.memory.record(TraceEvent::PromoteFail {
-                    page,
-                    reason: PromoteFailReason::Busy,
-                });
-                0
-            }
-        }
+        try_promote(ctx, pfn, self)
     }
 
     fn tick(&mut self, ctx: &mut PolicyCtx<'_>) {
@@ -358,23 +223,7 @@ impl PlacementPolicy for AutoTiering {
                 }
             }
         }
-        // Migration-based demotion from local nodes.
-        for node in ctx.memory.local_nodes() {
-            self.demote_pass(ctx, node);
-        }
-        // CXL nodes reclaim the default way if ever pressured.
-        self.kswapd_active.resize(ctx.memory.node_count(), false);
-        for node in ctx.memory.cxl_nodes() {
-            let mut active = self.kswapd_active[node.index()];
-            super::linux_default::kswapd_pass(
-                ctx.memory,
-                ctx.latency,
-                node,
-                self.config.linux.kswapd_budget,
-                &mut active,
-            );
-            self.kswapd_active[node.index()] = active;
-        }
+        demote_and_reclaim(ctx, self.config.demote_budget, self);
         run_huge_daemons(ctx, &self.config.linux.huge, &mut self.huge_state);
         if self.scan_timer.fire(ctx.now_ns) > 0 {
             self.sampler.scan(ctx.memory);
@@ -389,22 +238,17 @@ impl PlacementPolicy for AutoTiering {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tiered_mem::NodeKind;
-    use tiered_mem::VmEvent;
-    use tiered_sim::{LatencyModel, SimRng};
+    use crate::policy::COMPOUND_MIGRATE_FACTOR;
+    use tiered_mem::{NodeKind, PageFlags, VmEvent};
+    use tiered_sim::LatencyModel;
 
-    fn setup(local: u64, cxl: u64) -> (Memory, LatencyModel, SimRng, AutoTiering) {
+    fn setup(local: u64, cxl: u64) -> (Memory, LatencyModel, AutoTiering) {
         let mut m = Memory::builder()
             .node(NodeKind::LocalDram, local)
             .node(NodeKind::Cxl, cxl)
             .build();
         m.create_process(Pid(1));
-        (
-            m,
-            LatencyModel::datacenter(),
-            SimRng::seed(1),
-            AutoTiering::new(),
-        )
+        (m, LatencyModel::datacenter(), AutoTiering::new())
     }
 
     #[test]
@@ -420,7 +264,7 @@ mod tests {
 
     #[test]
     fn promotion_requires_hotness_threshold() {
-        let (mut m, lat, mut rng, mut p) = setup(64, 64);
+        let (mut m, lat, mut p) = setup(64, 64);
         let pfn = m
             .alloc_and_map(NodeId(1), Pid(1), Vpn(0), PageType::Anon)
             .unwrap();
@@ -428,7 +272,6 @@ mod tests {
             memory: &mut m,
             latency: &lat,
             now_ns: 0,
-            rng: &mut rng,
         };
         // Cold by counter: not promoted.
         assert_eq!(p.on_hint_fault(&mut ctx, pfn), 0);
@@ -443,7 +286,7 @@ mod tests {
 
     #[test]
     fn buffer_exhaustion_halts_promotion_under_pressure() {
-        let (mut m, lat, mut rng, mut p) = setup(64, 64);
+        let (mut m, lat, mut p) = setup(64, 64);
         // Local filled to its high watermark: only buffer tokens allow
         // promotion.
         let high = m.node(NodeId(0)).watermarks().base.high;
@@ -467,7 +310,6 @@ mod tests {
             memory: &mut m,
             latency: &lat,
             now_ns: 0,
-            rng: &mut rng,
         };
         p.ensure_buffer(ctx.memory);
         p.buffer_tokens = 2; // nearly drained
@@ -483,7 +325,7 @@ mod tests {
 
     #[test]
     fn demotion_migrates_cold_pages_instead_of_swapping() {
-        let (mut m, lat, mut rng, mut p) = setup(64, 256);
+        let (mut m, lat, mut p) = setup(64, 256);
         let low = m.node(NodeId(0)).watermarks().base.low;
         for i in 0..(64 - low + 4).min(63) {
             m.alloc_and_map(NodeId(0), Pid(1), Vpn(i), PageType::Tmpfs)
@@ -494,7 +336,6 @@ mod tests {
                 memory: &mut m,
                 latency: &lat,
                 now_ns: 0,
-                rng: &mut rng,
             };
             p.tick(&mut ctx);
         }
@@ -508,7 +349,7 @@ mod tests {
 
     #[test]
     fn decay_halves_hotness_counters() {
-        let (mut m, lat, mut rng, mut p) = setup(64, 64);
+        let (mut m, lat, mut p) = setup(64, 64);
         let pfn = m
             .alloc_and_map(NodeId(0), Pid(1), Vpn(0), PageType::Anon)
             .unwrap();
@@ -519,7 +360,6 @@ mod tests {
             memory: &mut m,
             latency: &lat,
             now_ns: 3 * SEC,
-            rng: &mut rng,
         };
         p.tick(&mut ctx);
         assert_eq!(m.frames().frame(pfn).hotness(), 4);
@@ -533,7 +373,7 @@ mod tests {
             .thp_mode(tiered_mem::ThpMode::Always)
             .build();
         m.create_process(Pid(1));
-        let (lat, mut rng) = (LatencyModel::datacenter(), SimRng::seed(1));
+        let lat = LatencyModel::datacenter();
         let mut p = AutoTiering::new();
         m.alloc_huge_and_map(NodeId(0), Pid(1), Vpn(0), PageType::Anon)
             .unwrap();
@@ -556,7 +396,6 @@ mod tests {
                 memory: &mut m,
                 latency: &lat,
                 now_ns: 0,
-                rng: &mut rng,
             };
             p.tick(&mut ctx);
         }
@@ -579,7 +418,7 @@ mod tests {
             .thp_mode(tiered_mem::ThpMode::Always)
             .build();
         m.create_process(Pid(1));
-        let (lat, mut rng) = (LatencyModel::datacenter(), SimRng::seed(1));
+        let lat = LatencyModel::datacenter();
         let mut p = AutoTiering::new();
         let head = m
             .alloc_huge_and_map(NodeId(1), Pid(1), Vpn(0), PageType::Anon)
@@ -592,13 +431,79 @@ mod tests {
             memory: &mut m,
             latency: &lat,
             now_ns: 0,
-            rng: &mut rng,
         };
         let cost = p.on_hint_fault(&mut ctx, head);
         assert_eq!(cost, lat.migrate_page_ns * COMPOUND_MIGRATE_FACTOR);
         let new_head = m.space(Pid(1)).translate(Vpn(0)).unwrap().pfn().unwrap();
         assert_eq!(m.frames().frame(new_head).node(), NodeId(0));
         assert!(m.frames().frame(new_head).flags().contains(PageFlags::HEAD));
+        m.validate();
+    }
+
+    #[test]
+    fn demotion_into_a_full_cxl_node_falls_back_to_reclaim() {
+        let mut m = Memory::builder()
+            .node(NodeKind::LocalDram, 512)
+            .node(NodeKind::Cxl, 64)
+            .swap_pages(4096)
+            .build();
+        m.create_process(Pid(1));
+        let lat = LatencyModel::datacenter();
+        let mut p = AutoTiering::new();
+        for i in 0..64 {
+            m.alloc_and_map(NodeId(1), Pid(1), Vpn(10_000 + i), PageType::Anon)
+                .unwrap();
+        }
+        // Cold tmpfs pages push local below its low watermark.
+        let low = m.node(NodeId(0)).watermarks().base.low;
+        for i in 0..(512 - low + 4) {
+            m.alloc_and_map(NodeId(0), Pid(1), Vpn(i), PageType::Tmpfs)
+                .unwrap();
+        }
+        let mut ctx = PolicyCtx {
+            memory: &mut m,
+            latency: &lat,
+            now_ns: 0,
+        };
+        p.tick(&mut ctx);
+        assert!(m.vmstat().get(VmEvent::PgDemoteFallback) > 0);
+        assert!(m.swap().used_slots() > 0, "fallback reclaim swaps");
+        m.validate();
+    }
+
+    #[test]
+    fn head_promotion_without_an_aligned_block_fails_lowmem() {
+        let mut m = Memory::builder()
+            .node(NodeKind::LocalDram, 2048)
+            .node(NodeKind::Cxl, 2048)
+            .thp_mode(tiered_mem::ThpMode::Always)
+            .build();
+        m.create_process(Pid(1));
+        let lat = LatencyModel::datacenter();
+        let mut p = AutoTiering::new();
+        // Half of local free, but not one aligned order-9 block.
+        for i in 0..2048 {
+            m.alloc_and_map(NodeId(0), Pid(1), Vpn(10_000 + i), PageType::Anon)
+                .unwrap();
+        }
+        for i in (0..2048).step_by(2) {
+            m.release(Pid(1), Vpn(10_000 + i));
+        }
+        let head = m
+            .alloc_huge_and_map(NodeId(1), Pid(1), Vpn(0), PageType::Anon)
+            .unwrap();
+        for _ in 0..4 {
+            m.frames_mut().frame_mut(head).touch_hotness();
+        }
+        let mut ctx = PolicyCtx {
+            memory: &mut m,
+            latency: &lat,
+            now_ns: 0,
+        };
+        assert_eq!(p.on_hint_fault(&mut ctx, head), 0);
+        assert_eq!(m.vmstat().get(VmEvent::PgPromoteFailLowMem), 1);
+        assert_eq!(m.vmstat().get(VmEvent::PgPromoteFailBusy), 0);
+        assert_eq!(m.frames().frame(head).node(), NodeId(1));
         m.validate();
     }
 }

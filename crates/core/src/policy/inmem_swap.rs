@@ -12,11 +12,13 @@
 //! through the fault path on every cold re-access, which hurts workloads
 //! that touch pages at varied frequencies.
 
-use tiered_mem::{NodeId, PageKey, PageLocation, PageType, Pid, TraceEvent, Vpn};
+use tiered_mem::{Memory, NodeId, PageKey, PageType, Pfn, Pid, TraceEvent, Vpn};
 use tiered_sim::MS;
 
-use super::linux_default::{materialise_cost_ns, try_place};
-use super::reclaim::{select_victims_into, DaemonBudget, ReclaimScratch, VictimClass};
+use super::pipeline::{
+    direct_reclaim, is_swapped, materialise_cost_ns, place_first, reclaim_to, Victim,
+};
+use super::reclaim::DaemonBudget;
 use super::{FaultOutcome, PlacementPolicy, PolicyCtx};
 
 /// Configuration for [`InMemorySwap`].
@@ -44,6 +46,20 @@ impl Default for InMemorySwapConfig {
             tick_period_ns: 50 * MS,
         }
     }
+}
+
+/// Moves the page at `pfn` on `node` out to the in-memory pool — any page,
+/// file pages too (zram holds anything). Returns the cost, or `None` if
+/// the pool is full.
+fn pool_out(memory: &mut Memory, pfn: Pfn, node: NodeId, swap_out_ns: u64) -> Option<u64> {
+    let page = memory
+        .frames()
+        .frame(pfn)
+        .owner()
+        .expect("victim is allocated");
+    memory.swap_out(pfn).ok()?;
+    memory.record(TraceEvent::ReclaimSteal { page, node });
+    Some(swap_out_ns)
 }
 
 /// zswap-style placement: reclaim to a fast in-memory pool, fault pages
@@ -80,10 +96,7 @@ impl PlacementPolicy for InMemorySwap {
         page_type: PageType,
     ) -> FaultOutcome {
         let prefer = ctx.memory.home_node(pid);
-        let was_swapped = matches!(
-            ctx.memory.space(pid).translate(vpn),
-            Some(PageLocation::Swapped(_))
-        );
+        let was_swapped = is_swapped(ctx.memory, pid, vpn);
         // Swap-ins come back fast (in-memory pool), everything else costs
         // what it normally costs.
         let base_cost = if was_swapped {
@@ -91,66 +104,32 @@ impl PlacementPolicy for InMemorySwap {
         } else {
             materialise_cost_ns(ctx.latency, page_type, false)
         };
-        for node in ctx.memory.fallback_order(prefer) {
-            let wm = ctx.memory.node(node).watermarks().base;
-            if !wm.allows_allocation(ctx.memory.free_pages(node)) {
-                continue;
-            }
-            if let Some(pfn) = try_place(ctx.memory, node, pid, vpn, page_type, was_swapped) {
-                return FaultOutcome {
-                    pfn,
-                    cost_ns: base_cost,
-                };
-            }
+        let order = ctx.memory.fallback_order(prefer);
+        if let Some((_, pfn)) =
+            place_first(ctx.memory, &order, pid, vpn, page_type, was_swapped, true)
+        {
+            return FaultOutcome {
+                pfn,
+                cost_ns: base_cost,
+            };
         }
-        // Synchronous reclaim into the pool (fast), escalating the scan
-        // budget like direct reclaim does until at least one page frees.
+        // Direct reclaim into the pool (fast).
         ctx.memory.record(TraceEvent::AllocStall { node: prefer });
         ctx.memory.record(TraceEvent::Decision {
             policy: "inmem_swap",
             reason: "alloc_stall_sync_pool_reclaim",
             page: Some(PageKey::new(pid, vpn)),
         });
-        let mut cost = base_cost;
-        let node_pages = ctx.memory.capacity(prefer) as usize;
-        let mut scan_budget = 512usize;
-        let mut scratch = ReclaimScratch::from_pool(ctx.memory);
-        loop {
-            select_victims_into(
-                ctx.memory,
-                prefer,
-                32,
-                scan_budget,
-                VictimClass::AnonAndFile,
-                &mut scratch,
-            );
-            let mut freed = 0usize;
-            for &v in &scratch.victims {
-                let page = ctx
-                    .memory
-                    .frames()
-                    .frame(v)
-                    .owner()
-                    .expect("victim is allocated");
-                if ctx.memory.swap_out(v).is_ok() {
-                    ctx.memory
-                        .record(TraceEvent::ReclaimSteal { page, node: prefer });
-                    cost += self.config.swap_out_ns;
-                    freed += 1;
-                }
-            }
-            if freed > 0 || scan_budget >= node_pages {
-                break;
-            }
-            scan_budget = (scan_budget * 8).min(node_pages);
-        }
-        scratch.into_pool(ctx.memory);
-        for node in ctx.memory.fallback_order(prefer) {
-            if let Some(pfn) = try_place(ctx.memory, node, pid, vpn, page_type, was_swapped) {
-                return FaultOutcome { pfn, cost_ns: cost };
-            }
-        }
-        panic!("simulated OOM under in-memory swap: {pid}:{vpn}");
+        let cost = base_cost
+            + direct_reclaim(ctx.memory, prefer, 512, |memory, pfn| {
+                pool_out(memory, pfn, prefer, self.config.swap_out_ns)
+            });
+        let Some((_, pfn)) =
+            place_first(ctx.memory, &order, pid, vpn, page_type, was_swapped, false)
+        else {
+            panic!("simulated OOM under in-memory swap: {pid}:{vpn}");
+        };
+        FaultOutcome { pfn, cost_ns: cost }
     }
 
     fn tick(&mut self, ctx: &mut PolicyCtx<'_>) {
@@ -164,48 +143,10 @@ impl PlacementPolicy for InMemorySwap {
                 daemon: "pool_reclaim",
                 node: Some(node),
             });
-            let mut time_left = self.config.budget.time_ns;
-            let mut scratch = ReclaimScratch::from_pool(ctx.memory);
-            while !wm.reclaim_satisfied(ctx.memory.free_pages(node)) && time_left > 0 {
-                let want = (wm.high - ctx.memory.free_pages(node)).min(64) as usize;
-                select_victims_into(
-                    ctx.memory,
-                    node,
-                    want,
-                    self.config.budget.scan_pages as usize,
-                    VictimClass::AnonAndFile,
-                    &mut scratch,
-                );
-                if scratch.victims.is_empty() {
-                    break;
-                }
-                let mut progressed = false;
-                for &pfn in &scratch.victims {
-                    // Everything goes to the in-memory pool, even file
-                    // pages (zram holds any page).
-                    let page = ctx
-                        .memory
-                        .frames()
-                        .frame(pfn)
-                        .owner()
-                        .expect("victim is allocated");
-                    if ctx.memory.swap_out(pfn).is_err() {
-                        time_left = 0;
-                        break;
-                    }
-                    ctx.memory.record(TraceEvent::ReclaimSteal { page, node });
-                    if self.config.swap_out_ns > time_left {
-                        time_left = 0;
-                        break;
-                    }
-                    time_left -= self.config.swap_out_ns;
-                    progressed = true;
-                }
-                if !progressed {
-                    break;
-                }
-            }
-            scratch.into_pool(ctx.memory);
+            reclaim_to(ctx, node, wm.high, self.config.budget, |ctx, pfn| {
+                pool_out(ctx.memory, pfn, node, self.config.swap_out_ns)
+                    .map_or(Victim::Stuck, Victim::Gone)
+            });
         }
     }
 
@@ -219,33 +160,27 @@ mod tests {
     use super::*;
     use tiered_mem::VmEvent;
     use tiered_mem::{Memory, NodeKind};
-    use tiered_sim::{LatencyModel, SimRng};
+    use tiered_sim::LatencyModel;
 
-    fn setup() -> (Memory, LatencyModel, SimRng, InMemorySwap) {
+    fn setup() -> (Memory, LatencyModel, InMemorySwap) {
         let mut m = Memory::builder()
             .node(NodeKind::LocalDram, 64)
             .node(NodeKind::Cxl, 64)
             .swap_pages(1024)
             .build();
         m.create_process(Pid(1));
-        (
-            m,
-            LatencyModel::datacenter(),
-            SimRng::seed(1),
-            InMemorySwap::new(),
-        )
+        (m, LatencyModel::datacenter(), InMemorySwap::new())
     }
 
     #[test]
     fn reclaim_swaps_everything_including_files() {
-        let (mut m, lat, mut rng, mut p) = setup();
+        let (mut m, lat, mut p) = setup();
         let min = m.node(NodeId(0)).watermarks().base.min;
         for i in 0..(64 - min) {
             let mut ctx = PolicyCtx {
                 memory: &mut m,
                 latency: &lat,
                 now_ns: 0,
-                rng: &mut rng,
             };
             p.handle_fault(&mut ctx, Pid(1), Vpn(i), PageType::File);
         }
@@ -253,7 +188,6 @@ mod tests {
             memory: &mut m,
             latency: &lat,
             now_ns: 0,
-            rng: &mut rng,
         };
         p.tick(&mut ctx);
         assert!(
@@ -266,12 +200,11 @@ mod tests {
 
     #[test]
     fn swapped_page_faults_back_cheaply() {
-        let (mut m, lat, mut rng, mut p) = setup();
+        let (mut m, lat, mut p) = setup();
         let mut ctx = PolicyCtx {
             memory: &mut m,
             latency: &lat,
             now_ns: 0,
-            rng: &mut rng,
         };
         let out = p.handle_fault(&mut ctx, Pid(1), Vpn(7), PageType::Anon);
         m.swap_out(out.pfn).unwrap();
@@ -279,7 +212,6 @@ mod tests {
             memory: &mut m,
             latency: &lat,
             now_ns: 0,
-            rng: &mut rng,
         };
         let back = p.handle_fault(&mut ctx, Pid(1), Vpn(7), PageType::Anon);
         // Much cheaper than a disk swap-in, costlier than a plain touch.
@@ -290,13 +222,12 @@ mod tests {
 
     #[test]
     fn no_migration_ever_happens() {
-        let (mut m, lat, mut rng, mut p) = setup();
+        let (mut m, lat, mut p) = setup();
         for i in 0..50 {
             let mut ctx = PolicyCtx {
                 memory: &mut m,
                 latency: &lat,
                 now_ns: 0,
-                rng: &mut rng,
             };
             p.handle_fault(&mut ctx, Pid(1), Vpn(i), PageType::Anon);
         }
@@ -305,7 +236,6 @@ mod tests {
                 memory: &mut m,
                 latency: &lat,
                 now_ns: 0,
-                rng: &mut rng,
             };
             p.tick(&mut ctx);
         }

@@ -1,7 +1,7 @@
 //! Page-placement policies: the decision layer on top of the
 //! [`tiered_mem`] mechanics.
 //!
-//! Four policies are provided, mirroring the paper's evaluation matrix:
+//! Five policies are provided, the paper's evaluation matrix plus one baseline:
 //!
 //! * [`LinuxDefault`] — coupled allocation/reclamation, paging to swap
 //!   (§4.1: the baseline whose pitfalls motivate TPP),
@@ -21,6 +21,7 @@ mod huge;
 mod inmem_swap;
 mod linux_default;
 mod numa_balancing;
+mod pipeline;
 mod reclaim;
 mod sampler;
 #[cfg(test)]
@@ -36,7 +37,7 @@ pub use inmem_swap::{InMemorySwap, InMemorySwapConfig};
 pub use linux_default::{LinuxDefault, LinuxDefaultConfig};
 pub use numa_balancing::{NumaBalancing, NumaBalancingConfig};
 pub use reclaim::{
-    age_active_list, select_victims, select_victims_into, DaemonBudget, ReclaimScratch, VictimClass,
+    age_active_list, select_victims_into, DaemonBudget, ReclaimScratch, VictimClass,
 };
 pub use sampler::{HintSampler, SampleScope, SamplerConfig};
 pub use tpp_policy::{Tpp, TppConfig};
@@ -45,7 +46,7 @@ use std::error::Error;
 use std::fmt;
 
 use tiered_mem::{Memory, NodeId, PageType, Pfn, Pid, Vpn};
-use tiered_sim::{LatencyModel, SimRng};
+use tiered_sim::LatencyModel;
 
 /// Everything a policy may touch while making a decision.
 pub struct PolicyCtx<'a> {
@@ -55,8 +56,6 @@ pub struct PolicyCtx<'a> {
     pub latency: &'a LatencyModel,
     /// Current simulated time.
     pub now_ns: u64,
-    /// Deterministic randomness.
-    pub rng: &'a mut SimRng,
 }
 
 /// A policy rejected the machine configuration (e.g. AutoTiering on a 1:4

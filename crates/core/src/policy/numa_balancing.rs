@@ -7,10 +7,11 @@
 //! stops and hot pages stay trapped on the CXL node.
 
 use tiered_mem::telemetry::PromoteFailReason;
-use tiered_mem::{PageType, Pid, TraceEvent, Vpn};
+use tiered_mem::{NodeId, PageType, Pfn, Pid, Vpn};
 use tiered_sim::Periodic;
 
-use super::linux_default::{fault_with_fallback, kswapd_pass, LinuxDefaultConfig};
+use super::linux_default::{LinuxDefault, LinuxDefaultConfig};
+use super::pipeline::{fault_with_fallback, try_promote, PromoteHooks, Refusal};
 use super::sampler::{HintSampler, SampleScope, SamplerConfig};
 use super::{FaultOutcome, PlacementPolicy, PolicyCtx};
 
@@ -35,10 +36,10 @@ impl Default for NumaBalancingConfig {
 /// NUMA balancing page placement.
 #[derive(Clone, Debug)]
 pub struct NumaBalancing {
-    config: NumaBalancingConfig,
+    /// Reclaim and the huge-page daemons stay the default kernel's.
+    linux: LinuxDefault,
     sampler: HintSampler,
     scan_timer: Periodic,
-    kswapd_active: Vec<bool>,
 }
 
 impl NumaBalancing {
@@ -53,10 +54,9 @@ impl NumaBalancing {
         // nodes no matter what the caller asked for.
         config.sampler.scope = SampleScope::AllNodes;
         NumaBalancing {
-            config,
             sampler: HintSampler::new(config.sampler),
+            linux: LinuxDefault::with_config(config.linux),
             scan_timer: Periodic::new(config.sampler.period_ns),
-            kswapd_active: Vec::new(),
         }
     }
 }
@@ -67,9 +67,27 @@ impl Default for NumaBalancing {
     }
 }
 
+impl PromoteHooks for NumaBalancing {
+    const NAME: &'static str = "numa_balancing";
+
+    /// Default NUMA balancing refuses to migrate unless the target is
+    /// comfortably above its high watermark — this is exactly how hot
+    /// pages get trapped on the CXL node under pressure (§4.2).
+    fn admit(&mut self, ctx: &PolicyCtx<'_>, target: NodeId, free: u64) -> Result<(), Refusal> {
+        if free <= ctx.memory.node(target).watermarks().base.high {
+            Err((
+                PromoteFailReason::LowMem,
+                Some("target_below_high_watermark_page_trapped"),
+            ))
+        } else {
+            Ok(())
+        }
+    }
+}
+
 impl PlacementPolicy for NumaBalancing {
     fn name(&self) -> &str {
-        "numa_balancing"
+        Self::NAME
     }
 
     fn handle_fault(
@@ -80,112 +98,46 @@ impl PlacementPolicy for NumaBalancing {
         page_type: PageType,
     ) -> FaultOutcome {
         let prefer = ctx.memory.home_node(pid);
-        fault_with_fallback(ctx, pid, vpn, page_type, prefer, "numa_balancing")
+        fault_with_fallback(ctx, pid, vpn, page_type, prefer, Self::NAME)
     }
 
-    fn on_hint_fault(&mut self, ctx: &mut PolicyCtx<'_>, pfn: tiered_mem::Pfn) -> u64 {
-        let frame = ctx.memory.frames().frame(pfn);
-        let node = frame.node();
-        let page = frame.owner().expect("hint fault on a free frame");
-        if !ctx.memory.node(node).is_cpu_less() {
-            // Hint fault on a local page: pure sampling overhead.
-            ctx.memory.record(TraceEvent::HintFaultLocal { page, node });
-            return 0;
-        }
-        // Promote toward the accessing task's socket, not a fixed node 0.
-        let target = ctx.memory.home_node(page.pid);
-        ctx.memory.record(TraceEvent::PromoteCandidate {
-            page,
-            demoted: false,
-        });
-        // Default NUMA balancing refuses to migrate unless the target is
-        // comfortably above its high watermark — this is exactly how hot
-        // pages get trapped on the CXL node under pressure (§4.2).
-        let wm = ctx.memory.node(target).watermarks().base;
-        if ctx.memory.free_pages(target) <= wm.high {
-            ctx.memory.record(TraceEvent::PromoteFail {
-                page,
-                reason: PromoteFailReason::LowMem,
-            });
-            ctx.memory.record(TraceEvent::Decision {
-                policy: "numa_balancing",
-                reason: "target_below_high_watermark_page_trapped",
-                page: Some(page),
-            });
-            return 0;
-        }
-        ctx.memory.record(TraceEvent::PromoteAttempt {
-            page,
-            from: node,
-            to: target,
-        });
-        let page_type = ctx.memory.frames().frame(pfn).page_type();
-        match ctx.memory.migrate_page(pfn, target) {
-            Ok(_) => {
-                ctx.memory.record(TraceEvent::PromoteSuccess {
-                    page,
-                    from: node,
-                    to: target,
-                    page_type,
-                });
-                ctx.latency
-                    .migrate_cost_ns(ctx.memory.migrate_hops(node, target))
-            }
-            Err(_) => {
-                ctx.memory.record(TraceEvent::PromoteFail {
-                    page,
-                    reason: PromoteFailReason::Busy,
-                });
-                0
-            }
-        }
+    fn on_hint_fault(&mut self, ctx: &mut PolicyCtx<'_>, pfn: Pfn) -> u64 {
+        try_promote(ctx, pfn, self)
     }
 
     fn tick(&mut self, ctx: &mut PolicyCtx<'_>) {
-        self.kswapd_active.resize(ctx.memory.node_count(), false);
-        for i in 0..ctx.memory.node_count() {
-            kswapd_pass(
-                ctx.memory,
-                ctx.latency,
-                tiered_mem::NodeId(i as u8),
-                self.config.linux.kswapd_budget,
-                &mut self.kswapd_active[i],
-            );
-        }
+        self.linux.tick(ctx);
         if self.scan_timer.fire(ctx.now_ns) > 0 {
             self.sampler.scan(ctx.memory);
         }
     }
 
     fn tick_period_ns(&self) -> u64 {
-        self.config.linux.tick_period_ns
+        self.linux.tick_period_ns()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tiered_mem::VmEvent;
-    use tiered_mem::{Memory, NodeId, NodeKind, PageFlags, PageLocation};
-    use tiered_sim::{LatencyModel, SimRng};
+    use crate::policy::COMPOUND_MIGRATE_FACTOR;
+    use tiered_mem::{
+        Memory, NodeKind, PageFlags, PageLocation, ThpMode, VmEvent, HUGE_PAGE_FRAMES,
+    };
+    use tiered_sim::LatencyModel;
 
-    fn setup() -> (Memory, LatencyModel, SimRng, NumaBalancing) {
+    fn setup() -> (Memory, LatencyModel, NumaBalancing) {
         let mut m = Memory::builder()
             .node(NodeKind::LocalDram, 64)
             .node(NodeKind::Cxl, 128)
             .build();
         m.create_process(Pid(1));
-        (
-            m,
-            LatencyModel::datacenter(),
-            SimRng::seed(1),
-            NumaBalancing::new(),
-        )
+        (m, LatencyModel::datacenter(), NumaBalancing::new())
     }
 
     #[test]
     fn promotes_cxl_page_when_local_has_headroom() {
-        let (mut m, lat, mut rng, mut p) = setup();
+        let (mut m, lat, mut p) = setup();
         let pfn = m
             .alloc_and_map(NodeId(1), Pid(1), Vpn(0), PageType::Anon)
             .unwrap();
@@ -193,7 +145,6 @@ mod tests {
             memory: &mut m,
             latency: &lat,
             now_ns: 0,
-            rng: &mut rng,
         };
         let cost = p.on_hint_fault(&mut ctx, pfn);
         assert_eq!(cost, lat.migrate_page_ns);
@@ -205,7 +156,7 @@ mod tests {
 
     #[test]
     fn promotion_stops_when_local_is_under_pressure() {
-        let (mut m, lat, mut rng, mut p) = setup();
+        let (mut m, lat, mut p) = setup();
         // Fill local down to (high watermark) free pages.
         let high = m.node(NodeId(0)).watermarks().base.high;
         for i in 0..(64 - high) {
@@ -219,7 +170,6 @@ mod tests {
             memory: &mut m,
             latency: &lat,
             now_ns: 0,
-            rng: &mut rng,
         };
         assert_eq!(p.on_hint_fault(&mut ctx, pfn), 0);
         // Page remains trapped on the CXL node.
@@ -230,7 +180,7 @@ mod tests {
 
     #[test]
     fn local_hint_faults_are_counted_as_overhead() {
-        let (mut m, lat, mut rng, mut p) = setup();
+        let (mut m, lat, mut p) = setup();
         let pfn = m
             .alloc_and_map(NodeId(0), Pid(1), Vpn(0), PageType::Anon)
             .unwrap();
@@ -238,7 +188,6 @@ mod tests {
             memory: &mut m,
             latency: &lat,
             now_ns: 0,
-            rng: &mut rng,
         };
         assert_eq!(p.on_hint_fault(&mut ctx, pfn), 0);
         assert_eq!(m.vmstat().get(VmEvent::NumaHintFaultsLocal), 1);
@@ -247,7 +196,7 @@ mod tests {
 
     #[test]
     fn sampler_marks_local_pages_too() {
-        let (mut m, lat, mut rng, mut p) = setup();
+        let (mut m, lat, mut p) = setup();
         m.alloc_and_map(NodeId(0), Pid(1), Vpn(0), PageType::Anon)
             .unwrap();
         m.alloc_and_map(NodeId(1), Pid(1), Vpn(1), PageType::Anon)
@@ -256,7 +205,6 @@ mod tests {
             memory: &mut m,
             latency: &lat,
             now_ns: 2 * tiered_sim::SEC,
-            rng: &mut rng,
         };
         p.tick(&mut ctx);
         let hinted = |m: &Memory, node: NodeId| {
@@ -275,14 +223,13 @@ mod tests {
 
     #[test]
     fn reclaim_still_swaps_out() {
-        let (mut m, lat, mut rng, mut p) = setup();
+        let (mut m, lat, mut p) = setup();
         let min = m.node(NodeId(0)).watermarks().base.min;
         for i in 0..(64 - min) {
             let mut ctx = PolicyCtx {
                 memory: &mut m,
                 latency: &lat,
                 now_ns: 0,
-                rng: &mut rng,
             };
             p.handle_fault(&mut ctx, Pid(1), Vpn(i), PageType::Tmpfs);
         }
@@ -291,7 +238,6 @@ mod tests {
                 memory: &mut m,
                 latency: &lat,
                 now_ns: 0,
-                rng: &mut rng,
             };
             p.tick(&mut ctx);
         }
@@ -302,6 +248,63 @@ mod tests {
         // Nothing was migrated to the CXL node by reclaim.
         assert_eq!(m.vmstat().demoted_total(), 0);
         let _ = m.space(Pid(1)).translate(Vpn(0)) == Some(PageLocation::Mapped(tiered_mem::Pfn(0)));
+        m.validate();
+    }
+
+    fn thp_machine(mode: ThpMode) -> Memory {
+        let mut m = Memory::builder()
+            .node(NodeKind::LocalDram, 2048)
+            .node(NodeKind::Cxl, 2048)
+            .thp_mode(mode)
+            .build();
+        m.create_process(Pid(1));
+        m
+    }
+
+    #[test]
+    fn hinted_compound_head_promotes_as_one_unit() {
+        let mut m = thp_machine(ThpMode::Always);
+        let lat = LatencyModel::datacenter();
+        let mut p = NumaBalancing::new();
+        let head = m
+            .alloc_huge_and_map(NodeId(1), Pid(1), Vpn(0), PageType::Anon)
+            .unwrap();
+        let mut ctx = PolicyCtx {
+            memory: &mut m,
+            latency: &lat,
+            now_ns: 0,
+        };
+        let cost = p.on_hint_fault(&mut ctx, head);
+        assert_eq!(cost, lat.migrate_page_ns * COMPOUND_MIGRATE_FACTOR);
+        for i in 0..HUGE_PAGE_FRAMES {
+            let pfn = m.space(Pid(1)).translate(Vpn(i)).unwrap().pfn().unwrap();
+            assert_eq!(m.frames().frame(pfn).node(), NodeId(0));
+        }
+        let new_head = m.space(Pid(1)).translate(Vpn(0)).unwrap().pfn().unwrap();
+        assert!(m.frames().frame(new_head).flags().contains(PageFlags::HEAD));
+        assert_eq!(m.vmstat().promoted_total(), 1);
+        m.validate();
+    }
+
+    #[test]
+    fn huge_daemons_collapse_a_warm_window() {
+        // `madvise`: no fault-time THP, but khugepaged still collapses.
+        let mut m = thp_machine(ThpMode::Madvise);
+        let lat = LatencyModel::datacenter();
+        let mut p = NumaBalancing::new();
+        for i in 0..HUGE_PAGE_FRAMES {
+            let pfn = m
+                .alloc_and_map(NodeId(0), Pid(1), Vpn(i), PageType::Anon)
+                .unwrap();
+            m.frames_mut().frame_mut(pfn).touch_hotness();
+        }
+        let mut ctx = PolicyCtx {
+            memory: &mut m,
+            latency: &lat,
+            now_ns: 0,
+        };
+        p.tick(&mut ctx);
+        assert!(m.vmstat().get(VmEvent::ThpCollapseAlloc) > 0);
         m.validate();
     }
 }

@@ -78,23 +78,6 @@ impl ReclaimScratch {
 }
 
 /// Scans up to `scan_budget` pages from `node`'s inactive tails and
-/// returns up to `want` reclaim victims, coldest first.
-///
-/// Allocating convenience wrapper around [`select_victims_into`]; per-tick
-/// callers should hold a [`ReclaimScratch`] and use the `_into` form.
-pub fn select_victims(
-    memory: &mut Memory,
-    node: NodeId,
-    want: usize,
-    scan_budget: usize,
-    class: VictimClass,
-) -> Vec<Pfn> {
-    let mut scratch = ReclaimScratch::default();
-    select_victims_into(memory, node, want, scan_budget, class, &mut scratch);
-    scratch.victims
-}
-
-/// Scans up to `scan_budget` pages from `node`'s inactive tails and
 /// leaves up to `want` reclaim victims in `scratch.victims`, coldest
 /// first.
 ///
@@ -228,6 +211,18 @@ fn relink_back(memory: &mut Memory, node: NodeId, kind: LruKind, pfn: Pfn) {
 mod tests {
     use super::*;
     use tiered_mem::{NodeKind, PageType, Pid, Vpn};
+
+    fn select_victims(
+        memory: &mut Memory,
+        node: NodeId,
+        want: usize,
+        scan_budget: usize,
+        class: VictimClass,
+    ) -> Vec<Pfn> {
+        let mut scratch = ReclaimScratch::default();
+        select_victims_into(memory, node, want, scan_budget, class, &mut scratch);
+        scratch.victims
+    }
 
     fn setup(n_file: u64, n_anon: u64) -> (Memory, Vec<Pfn>, Vec<Pfn>) {
         let mut m = Memory::builder()

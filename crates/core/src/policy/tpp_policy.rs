@@ -27,12 +27,15 @@
 //! paper's component ablations (Figures 17 and 18).
 
 use tiered_mem::telemetry::{PromoteFailReason, PromoteSkipReason};
-use tiered_mem::{NodeId, PageFlags, PageType, Pfn, Pid, TraceEvent, Vpn, HUGE_PAGE_FRAMES};
+use tiered_mem::{Memory, NodeId, PageFlags, PageType, Pfn, Pid, Vpn};
 use tiered_sim::{Periodic, MS};
 
-use super::huge::{run_huge_daemons, HugeConfig, HugeState, COMPOUND_MIGRATE_FACTOR};
-use super::linux_default::{evict_page, fault_with_fallback, kswapd_pass, materialise_cost_ns};
-use super::reclaim::{select_victims_into, DaemonBudget, ReclaimScratch, VictimClass};
+use super::huge::{run_huge_daemons, HugeConfig, HugeState};
+use super::pipeline::{
+    demote_and_reclaim, fault_with_fallback, is_swapped, materialise_cost_ns, place_first,
+    try_promote, DemoteHooks, Kswapd, PromoteHooks, Refusal,
+};
+use super::reclaim::DaemonBudget;
 use super::sampler::{HintSampler, SampleScope, SamplerConfig};
 use super::{FaultOutcome, PlacementPolicy, PolicyCtx};
 
@@ -91,11 +94,7 @@ pub struct Tpp {
     /// whole pages, refilled once per second of simulated time.
     promote_tokens: u64,
     token_refill: Periodic,
-    kswapd_active: Vec<bool>,
-    /// Per-socket demotion-daemon budgets, indexed by node. A multi-socket
-    /// machine runs one demoter per CPU socket; each may carry its own
-    /// budget. Nodes without an override use `config.demote_budget`.
-    node_demote_budgets: Vec<Option<DaemonBudget>>,
+    kswapd: Kswapd,
     huge_state: HugeState,
 }
 
@@ -116,195 +115,9 @@ impl Tpp {
             scan_timer: Periodic::new(config.sampler.period_ns),
             promote_tokens: config.promote_rate_limit.unwrap_or(0),
             token_refill: Periodic::new(tiered_sim::SEC),
-            kswapd_active: Vec::new(),
-            node_demote_budgets: Vec::new(),
+            kswapd: Kswapd::new(config.kswapd_budget),
             huge_state: HugeState::default(),
         }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &TppConfig {
-        &self.config
-    }
-
-    /// Gives the demotion daemon of `node` (one daemon per CPU socket) its
-    /// own budget, overriding [`TppConfig::demote_budget`] for that node.
-    pub fn set_node_demote_budget(&mut self, node: NodeId, budget: DaemonBudget) {
-        if self.node_demote_budgets.len() <= node.index() {
-            self.node_demote_budgets.resize(node.index() + 1, None);
-        }
-        self.node_demote_budgets[node.index()] = Some(budget);
-    }
-
-    /// The demotion budget in effect for `node`.
-    fn demote_budget_for(&self, node: NodeId) -> DaemonBudget {
-        self.node_demote_budgets
-            .get(node.index())
-            .copied()
-            .flatten()
-            .unwrap_or(self.config.demote_budget)
-    }
-
-    /// The demotion daemon: one pass over `node`.
-    fn demote_pass(&mut self, ctx: &mut PolicyCtx<'_>, node: NodeId) {
-        let wm = *ctx.memory.node(node).watermarks();
-        let free = ctx.memory.free_pages(node);
-        let (trigger_hit, target_free) = if self.config.decouple {
-            (wm.needs_demotion(free), wm.demote_target)
-        } else {
-            // Ablation: coupled to the classic watermarks like default
-            // Linux reclaim.
-            (wm.base.needs_reclaim(free), wm.base.high)
-        };
-        if !trigger_hit {
-            return;
-        }
-        if ctx.memory.trace_enabled() {
-            // Which watermark fired distinguishes §5.2 decoupled demotion
-            // from the coupled (Figure 17 ablation) trigger.
-            ctx.memory.record(TraceEvent::WatermarkCross {
-                node,
-                level: if self.config.decouple {
-                    "demote_trigger"
-                } else {
-                    "low"
-                },
-                free,
-                below: true,
-            });
-            ctx.memory.record(TraceEvent::DaemonWake {
-                daemon: "demoter",
-                node: Some(node),
-            });
-        }
-        // Nearest lower tier with allocation headroom (§5.2); when every
-        // candidate is pressured, the nearest one still takes the pages
-        // (its own daemon will cascade or reclaim them).
-        let order = *ctx.memory.node(node).demotion_order();
-        let target = order
-            .iter()
-            .copied()
-            .find(|&t| {
-                let wm = ctx.memory.node(t).watermarks().base;
-                wm.allows_allocation(ctx.memory.free_pages(t))
-            })
-            .or_else(|| order.first().copied());
-        let Some(target) = target else {
-            // Terminal tier: fall back to default reclaim.
-            ctx.memory.record(TraceEvent::Decision {
-                policy: "tpp",
-                reason: "terminal_tier_default_reclaim",
-                page: None,
-            });
-            self.kswapd_active.resize(ctx.memory.node_count(), false);
-            let mut active = self.kswapd_active[node.index()];
-            kswapd_pass(
-                ctx.memory,
-                ctx.latency,
-                node,
-                self.config.kswapd_budget,
-                &mut active,
-            );
-            self.kswapd_active[node.index()] = active;
-            return;
-        };
-        let budget = self.demote_budget_for(node);
-        let mut time_left = budget.time_ns;
-        let demote_cost = ctx
-            .latency
-            .migrate_cost_ns(ctx.memory.migrate_hops(node, target));
-        let mut scratch = ReclaimScratch::from_pool(ctx.memory);
-        while ctx.memory.free_pages(node) < target_free && time_left > 0 {
-            let want = (target_free - ctx.memory.free_pages(node)).min(64) as usize;
-            // Unlike swapping, demoted pages stay in memory, so TPP scans
-            // inactive *anon* pages as well as file pages (§5.1).
-            select_victims_into(
-                ctx.memory,
-                node,
-                want,
-                budget.scan_pages as usize,
-                VictimClass::AnonAndFile,
-                &mut scratch,
-            );
-            if scratch.victims.is_empty() {
-                break;
-            }
-            let mut progressed = false;
-            for &pfn in &scratch.victims {
-                let frame = ctx.memory.frames().frame(pfn);
-                let page_type = frame.page_type();
-                let page = frame.owner().expect("demotion victim is allocated");
-                // Split-on-demote vs migrate-whole: a cold compound moves
-                // as one unit when the target can supply an aligned
-                // block; otherwise it is shattered so the base pages take
-                // the ordinary path on later passes.
-                if frame.flags().contains(PageFlags::HEAD) {
-                    let cost = match ctx.memory.migrate_huge(pfn, target) {
-                        Ok(new_head) => {
-                            ctx.memory
-                                .frames_mut()
-                                .frame_mut(new_head)
-                                .flags_mut()
-                                .insert(PageFlags::DEMOTED);
-                            ctx.memory.record(TraceEvent::Demote {
-                                page,
-                                from: node,
-                                to: target,
-                                page_type,
-                            });
-                            demote_cost * COMPOUND_MIGRATE_FACTOR
-                        }
-                        Err(_) => {
-                            ctx.memory.split_huge_page(pfn);
-                            ctx.latency.migrate_page_ns
-                        }
-                    };
-                    if cost > time_left {
-                        time_left = 0;
-                        break;
-                    }
-                    time_left -= cost;
-                    progressed = true;
-                    continue;
-                }
-                let cost = match ctx.memory.migrate_page(pfn, target) {
-                    Ok(new_pfn) => {
-                        // Tag for the ping-pong detector (§5.5).
-                        ctx.memory
-                            .frames_mut()
-                            .frame_mut(new_pfn)
-                            .flags_mut()
-                            .insert(PageFlags::DEMOTED);
-                        ctx.memory.record(TraceEvent::Demote {
-                            page,
-                            from: node,
-                            to: target,
-                            page_type,
-                        });
-                        demote_cost
-                    }
-                    Err(_) => {
-                        // Migration failed (e.g. CXL node full): fall back
-                        // to the default reclaim mechanism for this page.
-                        ctx.memory.record(TraceEvent::DemoteFallback { page, node });
-                        match evict_page(ctx.memory, ctx.latency, pfn) {
-                            Some(c) => c,
-                            None => break,
-                        }
-                    }
-                };
-                if cost > time_left {
-                    time_left = 0;
-                    break;
-                }
-                time_left -= cost;
-                progressed = true;
-            }
-            if !progressed {
-                break;
-            }
-        }
-        scratch.into_pool(ctx.memory);
     }
 }
 
@@ -314,9 +127,67 @@ impl Default for Tpp {
     }
 }
 
+impl PromoteHooks for Tpp {
+    const NAME: &'static str = "tpp";
+
+    /// Apt identification of trapped hot pages (§5.3): a page on the
+    /// inactive LRU may be an infrequently accessed page — mark it
+    /// accessed (activating it) and promote only if it is found hot
+    /// again on its next hint fault.
+    fn skip(&mut self, memory: &mut Memory, pfn: Pfn) -> Option<PromoteSkipReason> {
+        match memory.frames().frame(pfn).lru_kind() {
+            Some(kind) if self.config.active_lru_filter && !kind.is_active() => {
+                memory.activate_page(pfn);
+                Some(PromoteSkipReason::Inactive)
+            }
+            _ => None,
+        }
+    }
+
+    fn admit(&mut self, ctx: &PolicyCtx<'_>, target: NodeId, free: u64) -> Result<(), Refusal> {
+        // Promotion rate limit (upstream's promote_rate_limit knob).
+        if let Some(limit) = self.config.promote_rate_limit {
+            if self.token_refill.fire(ctx.now_ns) > 0 {
+                self.promote_tokens = limit;
+            }
+            if self.promote_tokens == 0 {
+                return Err((PromoteFailReason::System, None));
+            }
+            self.promote_tokens -= 1;
+        }
+        // Promotion ignores the allocation watermark (§5.3) — only the
+        // hard min floor gates it. Decoupled demotion keeps free pages
+        // above that essentially always.
+        if ctx.memory.node(target).watermarks().allows_promotion(free) {
+            Ok(())
+        } else {
+            Err((PromoteFailReason::LowMem, None))
+        }
+    }
+}
+
+impl DemoteHooks for Tpp {
+    fn decoupled(&self) -> bool {
+        self.config.decouple
+    }
+
+    fn kswapd(&mut self) -> &mut Kswapd {
+        &mut self.kswapd
+    }
+
+    fn on_demoted(&mut self, memory: &mut Memory, new_pfn: Pfn) {
+        // Tag for the ping-pong detector (§5.5).
+        memory
+            .frames_mut()
+            .frame_mut(new_pfn)
+            .flags_mut()
+            .insert(PageFlags::DEMOTED);
+    }
+}
+
 impl PlacementPolicy for Tpp {
     fn name(&self) -> &str {
-        "tpp"
+        Self::NAME
     }
 
     fn handle_fault(
@@ -330,176 +201,26 @@ impl PlacementPolicy for Tpp {
         // Page-type-aware allocation (§5.4): caches go to CXL first.
         if self.config.cache_to_cxl && page_type.is_file_backed() {
             if let Some(&cxl) = ctx.memory.cxl_nodes().first() {
-                let was_swapped = matches!(
-                    ctx.memory.space(pid).translate(vpn),
-                    Some(tiered_mem::PageLocation::Swapped(_))
-                );
-                let wm = ctx.memory.node(cxl).watermarks().base;
-                if wm.allows_allocation(ctx.memory.free_pages(cxl)) {
-                    if let Some(pfn) = super::linux_default::try_place(
-                        ctx.memory,
-                        cxl,
-                        pid,
-                        vpn,
-                        page_type,
-                        was_swapped,
-                    ) {
-                        return FaultOutcome {
-                            pfn,
-                            cost_ns: materialise_cost_ns(ctx.latency, page_type, was_swapped),
-                        };
-                    }
+                let was_swapped = is_swapped(ctx.memory, pid, vpn);
+                let placed =
+                    place_first(ctx.memory, &[cxl], pid, vpn, page_type, was_swapped, true);
+                if let Some((_, pfn)) = placed {
+                    return FaultOutcome {
+                        pfn,
+                        cost_ns: materialise_cost_ns(ctx.latency, page_type, was_swapped),
+                    };
                 }
             }
         }
-        fault_with_fallback(ctx, pid, vpn, page_type, local, "tpp")
+        fault_with_fallback(ctx, pid, vpn, page_type, local, Self::NAME)
     }
 
     fn on_hint_fault(&mut self, ctx: &mut PolicyCtx<'_>, pfn: Pfn) -> u64 {
-        let frame = ctx.memory.frames().frame(pfn);
-        let node = frame.node();
-        let page = frame.owner().expect("hint fault on a free frame");
-        if !ctx.memory.node(node).is_cpu_less() {
-            // CXL-only sampling should make this impossible; count it as
-            // overhead if it ever happens.
-            ctx.memory.record(TraceEvent::HintFaultLocal { page, node });
-            return 0;
-        }
-        // Apt identification of trapped hot pages (§5.3): a page on the
-        // inactive LRU may be an infrequently accessed page — mark it
-        // accessed (activating it) and promote only if it is found hot
-        // again on its next hint fault.
-        let lru_kind = ctx.memory.frames().frame(pfn).lru_kind();
-        if self.config.active_lru_filter {
-            match lru_kind {
-                Some(kind) if !kind.is_active() => {
-                    ctx.memory.activate_page(pfn);
-                    ctx.memory.record(TraceEvent::PromoteSkip {
-                        page,
-                        reason: PromoteSkipReason::Inactive,
-                    });
-                    return 0;
-                }
-                Some(_) => {}
-                None => return 0, // isolated elsewhere
-            }
-        }
-        let demoted = ctx
-            .memory
-            .frames()
-            .frame(pfn)
-            .flags()
-            .contains(PageFlags::DEMOTED);
-        ctx.memory
-            .record(TraceEvent::PromoteCandidate { page, demoted });
-        // Promotion rate limit (upstream's promote_rate_limit knob).
-        if let Some(limit) = self.config.promote_rate_limit {
-            if self.token_refill.fire(ctx.now_ns) > 0 {
-                self.promote_tokens = limit;
-            }
-            if self.promote_tokens == 0 {
-                ctx.memory.record(TraceEvent::PromoteFail {
-                    page,
-                    reason: PromoteFailReason::System,
-                });
-                return 0;
-            }
-            self.promote_tokens -= 1;
-        }
-        // Promote to the accessing socket's DRAM (§5.3): the faulting
-        // task's home node, not a hard-coded node 0.
-        let target = ctx.memory.home_node(page.pid);
-        // A hinted compound head promotes the whole 512-page unit in one
-        // decision (hint sampling is head-granular), so the watermark is
-        // checked for the whole block.
-        let is_head = ctx
-            .memory
-            .frames()
-            .frame(pfn)
-            .flags()
-            .contains(PageFlags::HEAD);
-        let need = if is_head { HUGE_PAGE_FRAMES } else { 1 };
-        // Promotion ignores the allocation watermark (§5.3) — only the
-        // hard min floor gates it. Decoupled demotion keeps free pages
-        // above that essentially always.
-        let wm = ctx.memory.node(target).watermarks();
-        if !wm.allows_promotion(ctx.memory.free_pages(target).saturating_sub(need - 1)) {
-            ctx.memory.record(TraceEvent::PromoteFail {
-                page,
-                reason: PromoteFailReason::LowMem,
-            });
-            return 0;
-        }
-        ctx.memory.record(TraceEvent::PromoteAttempt {
-            page,
-            from: node,
-            to: target,
-        });
-        let page_type = ctx.memory.frames().frame(pfn).page_type();
-        let migrated = if is_head {
-            ctx.memory.migrate_huge(pfn, target)
-        } else {
-            ctx.memory.migrate_page(pfn, target)
-        };
-        match migrated {
-            Ok(new_pfn) => {
-                // Promotion clears PG_demoted (§5.5).
-                ctx.memory
-                    .frames_mut()
-                    .frame_mut(new_pfn)
-                    .flags_mut()
-                    .remove(PageFlags::DEMOTED);
-                ctx.memory.record(TraceEvent::PromoteSuccess {
-                    page,
-                    from: node,
-                    to: target,
-                    page_type,
-                });
-                let unit = ctx
-                    .latency
-                    .migrate_cost_ns(ctx.memory.migrate_hops(node, target));
-                if is_head {
-                    unit * COMPOUND_MIGRATE_FACTOR
-                } else {
-                    unit
-                }
-            }
-            Err(tiered_mem::MigrateError::DstNoMemory { .. }) => {
-                ctx.memory.record(TraceEvent::PromoteFail {
-                    page,
-                    reason: PromoteFailReason::LowMem,
-                });
-                0
-            }
-            Err(_) => {
-                ctx.memory.record(TraceEvent::PromoteFail {
-                    page,
-                    reason: PromoteFailReason::Busy,
-                });
-                0
-            }
-        }
+        try_promote(ctx, pfn, self)
     }
 
     fn tick(&mut self, ctx: &mut PolicyCtx<'_>) {
-        // Demotion daemon on local nodes.
-        for node in ctx.memory.local_nodes() {
-            self.demote_pass(ctx, node);
-        }
-        // Default reclaim on CXL nodes (allocation there is not
-        // performance-critical, §5.1).
-        self.kswapd_active.resize(ctx.memory.node_count(), false);
-        for node in ctx.memory.cxl_nodes() {
-            let mut active = self.kswapd_active[node.index()];
-            kswapd_pass(
-                ctx.memory,
-                ctx.latency,
-                node,
-                self.config.kswapd_budget,
-                &mut active,
-            );
-            self.kswapd_active[node.index()] = active;
-        }
+        demote_and_reclaim(ctx, self.config.demote_budget, self);
         run_huge_daemons(ctx, &self.config.huge, &mut self.huge_state);
         if self.scan_timer.fire(ctx.now_ns) > 0 {
             self.sampler.scan(ctx.memory);
@@ -516,31 +237,30 @@ mod tests {
     use super::*;
     use tiered_mem::VmEvent;
     use tiered_mem::{LruKind, Memory, NodeKind};
-    use tiered_sim::{LatencyModel, SimRng};
+    use tiered_sim::LatencyModel;
 
-    fn setup(local: u64, cxl: u64) -> (Memory, LatencyModel, SimRng) {
+    fn setup(local: u64, cxl: u64) -> (Memory, LatencyModel) {
         let mut m = Memory::builder()
             .node(NodeKind::LocalDram, local)
             .node(NodeKind::Cxl, cxl)
             .swap_pages(4096)
             .build();
         m.create_process(Pid(1));
-        (m, LatencyModel::datacenter(), SimRng::seed(1))
+        (m, LatencyModel::datacenter())
     }
 
-    fn tick(p: &mut Tpp, m: &mut Memory, lat: &LatencyModel, rng: &mut SimRng, now: u64) {
+    fn tick(p: &mut Tpp, m: &mut Memory, lat: &LatencyModel, now: u64) {
         let mut ctx = PolicyCtx {
             memory: m,
             latency: lat,
             now_ns: now,
-            rng,
         };
         p.tick(&mut ctx);
     }
 
     #[test]
     fn demotion_migrates_cold_pages_and_tags_them() {
-        let (mut m, lat, mut rng) = setup(256, 1024);
+        let (mut m, lat) = setup(256, 1024);
         let mut p = Tpp::new();
         // Fill local past the demotion trigger.
         let trigger = m.node(NodeId(0)).watermarks().demote_trigger;
@@ -553,7 +273,7 @@ mod tests {
             .watermarks()
             .needs_demotion(m.free_pages(NodeId(0))));
         for t in 0..10 {
-            tick(&mut p, &mut m, &lat, &mut rng, t * 50 * MS);
+            tick(&mut p, &mut m, &lat, t * 50 * MS);
         }
         let demoted = m.vmstat().demoted_total();
         assert!(demoted > 0, "nothing was demoted");
@@ -572,14 +292,14 @@ mod tests {
 
     #[test]
     fn demotion_scans_anon_pages_too() {
-        let (mut m, lat, mut rng) = setup(256, 1024);
+        let (mut m, lat) = setup(256, 1024);
         let mut p = Tpp::new();
         for i in 0..250 {
             m.alloc_and_map(NodeId(0), Pid(1), Vpn(i), PageType::Anon)
                 .unwrap();
         }
         for t in 0..20 {
-            tick(&mut p, &mut m, &lat, &mut rng, t * 50 * MS);
+            tick(&mut p, &mut m, &lat, t * 50 * MS);
         }
         assert!(m.vmstat().get(VmEvent::PgDemoteAnon) > 0);
         assert_eq!(m.swap().used_slots(), 0);
@@ -588,7 +308,7 @@ mod tests {
 
     #[test]
     fn inactive_page_is_activated_not_promoted_then_promoted_when_hot() {
-        let (mut m, lat, mut rng) = setup(64, 64);
+        let (mut m, lat) = setup(64, 64);
         let mut p = Tpp::new();
         // A file page on the CXL node starts on the inactive list.
         let pfn = m
@@ -602,7 +322,6 @@ mod tests {
             memory: &mut m,
             latency: &lat,
             now_ns: 0,
-            rng: &mut rng,
         };
         // First hint fault: activated, not promoted.
         assert_eq!(p.on_hint_fault(&mut ctx, pfn), 0);
@@ -614,7 +333,6 @@ mod tests {
             memory: &mut m,
             latency: &lat,
             now_ns: 0,
-            rng: &mut rng,
         };
         let cost = p.on_hint_fault(&mut ctx, pfn);
         assert_eq!(cost, lat.migrate_page_ns);
@@ -626,7 +344,7 @@ mod tests {
 
     #[test]
     fn disabling_the_filter_promotes_instantly() {
-        let (mut m, lat, mut rng) = setup(64, 64);
+        let (mut m, lat) = setup(64, 64);
         let mut p = Tpp::with_config(TppConfig {
             active_lru_filter: false,
             ..TppConfig::default()
@@ -638,7 +356,6 @@ mod tests {
             memory: &mut m,
             latency: &lat,
             now_ns: 0,
-            rng: &mut rng,
         };
         assert!(p.on_hint_fault(&mut ctx, pfn) > 0);
         assert_eq!(m.vmstat().get(VmEvent::PgPromoteSuccessFile), 1);
@@ -646,7 +363,7 @@ mod tests {
 
     #[test]
     fn promotion_ignores_allocation_watermark() {
-        let (mut m, lat, mut rng) = setup(64, 64);
+        let (mut m, lat) = setup(64, 64);
         let mut p = Tpp::new();
         // Fill local down to just above min: ordinary NUMA balancing
         // would refuse (it checks high), TPP promotes.
@@ -663,7 +380,6 @@ mod tests {
             memory: &mut m,
             latency: &lat,
             now_ns: 0,
-            rng: &mut rng,
         };
         let cost = p.on_hint_fault(&mut ctx, pfn);
         assert!(cost > 0, "promotion should bypass the allocation watermark");
@@ -673,7 +389,7 @@ mod tests {
 
     #[test]
     fn promotion_clears_demoted_flag_and_counts_pingpong() {
-        let (mut m, lat, mut rng) = setup(64, 64);
+        let (mut m, lat) = setup(64, 64);
         let mut p = Tpp::new();
         let pfn = m
             .alloc_and_map(NodeId(0), Pid(1), Vpn(0), PageType::Anon)
@@ -687,7 +403,6 @@ mod tests {
             memory: &mut m,
             latency: &lat,
             now_ns: 0,
-            rng: &mut rng,
         };
         assert!(p.on_hint_fault(&mut ctx, demoted) > 0);
         assert_eq!(m.vmstat().get(VmEvent::PgPromoteCandidateDemoted), 1);
@@ -697,7 +412,7 @@ mod tests {
 
     #[test]
     fn cache_to_cxl_places_files_remotely_and_anons_locally() {
-        let (mut m, lat, mut rng) = setup(64, 64);
+        let (mut m, lat) = setup(64, 64);
         let mut p = Tpp::with_config(TppConfig {
             cache_to_cxl: true,
             ..TppConfig::default()
@@ -706,7 +421,6 @@ mod tests {
             memory: &mut m,
             latency: &lat,
             now_ns: 0,
-            rng: &mut rng,
         };
         let f = p.handle_fault(&mut ctx, Pid(1), Vpn(0), PageType::Tmpfs);
         let a = p.handle_fault(&mut ctx, Pid(1), Vpn(1), PageType::Anon);
@@ -717,7 +431,7 @@ mod tests {
 
     #[test]
     fn promotion_rate_limit_caps_migrations() {
-        let (mut m, lat, mut rng) = setup(256, 256);
+        let (mut m, lat) = setup(256, 256);
         let mut p = Tpp::with_config(TppConfig {
             promote_rate_limit: Some(3),
             ..TppConfig::default()
@@ -736,7 +450,6 @@ mod tests {
                 memory: &mut m,
                 latency: &lat,
                 now_ns: 100,
-                rng: &mut rng,
             };
             if p.on_hint_fault(&mut ctx, pfn) > 0 {
                 promoted += 1;
@@ -752,7 +465,6 @@ mod tests {
             memory: &mut m,
             latency: &lat,
             now_ns: 2 * tiered_sim::SEC,
-            rng: &mut rng,
         };
         assert!(p.on_hint_fault(&mut ctx, pfn) > 0);
         m.validate();
@@ -772,7 +484,7 @@ mod tests {
             .swap_pages(0)
             .build();
         m.create_process(Pid(1));
-        let (lat, mut rng) = (LatencyModel::datacenter(), SimRng::seed(1));
+        let lat = LatencyModel::datacenter();
         let mut p = Tpp::new();
         // Exhaust the direct expander's allocation headroom.
         let min = m.node(NodeId(1)).watermarks().base.min;
@@ -785,7 +497,7 @@ mod tests {
                 .unwrap();
         }
         for t in 0..10 {
-            tick(&mut p, &mut m, &lat, &mut rng, t * 50 * MS);
+            tick(&mut p, &mut m, &lat, t * 50 * MS);
         }
         assert!(m.vmstat().demoted_total() > 0);
         assert!(
@@ -797,39 +509,8 @@ mod tests {
     }
 
     #[test]
-    fn per_node_demote_budget_overrides_the_default() {
-        let (mut m, lat, mut rng) = setup(256, 1024);
-        let mut p = Tpp::new();
-        // A starvation budget on node 0's demoter: at most one page fits
-        // per wakeup before the time budget runs dry.
-        p.set_node_demote_budget(
-            NodeId(0),
-            DaemonBudget {
-                scan_pages: 64,
-                time_ns: 1,
-            },
-        );
-        for i in 0..250 {
-            m.alloc_and_map(NodeId(0), Pid(1), Vpn(i), PageType::File)
-                .unwrap();
-        }
-        for t in 0..10 {
-            tick(&mut p, &mut m, &lat, &mut rng, t * 50 * MS);
-        }
-        assert!(
-            m.vmstat().demoted_total() <= 10,
-            "a starved per-node budget must throttle that node's demoter"
-        );
-        assert!(
-            m.free_pages(NodeId(0)) < m.node(NodeId(0)).watermarks().demote_target,
-            "the default budget would have reached the demotion target"
-        );
-        m.validate();
-    }
-
-    #[test]
     fn coupled_ablation_behaves_like_late_reclaim() {
-        let (mut m, lat, mut rng) = setup(256, 1024);
+        let (mut m, lat) = setup(256, 1024);
         let mut p = Tpp::with_config(TppConfig {
             decouple: false,
             ..TppConfig::default()
@@ -841,7 +522,7 @@ mod tests {
             m.alloc_and_map(NodeId(0), Pid(1), Vpn(i), PageType::File)
                 .unwrap();
         }
-        tick(&mut p, &mut m, &lat, &mut rng, 0);
+        tick(&mut p, &mut m, &lat, 0);
         assert_eq!(
             m.vmstat().demoted_total(),
             0,
@@ -853,14 +534,14 @@ mod tests {
             m.alloc_and_map(NodeId(0), Pid(1), Vpn(5000 + i), PageType::File)
                 .unwrap();
         }
-        tick(&mut p, &mut m, &lat, &mut rng, 50 * MS);
+        tick(&mut p, &mut m, &lat, 50 * MS);
         assert!(m.vmstat().demoted_total() > 0, "below low it must demote");
         m.validate();
     }
 
     use tiered_mem::{ThpMode, HUGE_PAGE_FRAMES};
 
-    fn thp_setup(local: u64, cxl: u64) -> (Memory, LatencyModel, SimRng) {
+    fn thp_setup(local: u64, cxl: u64) -> (Memory, LatencyModel) {
         let mut m = Memory::builder()
             .node(NodeKind::LocalDram, local)
             .node(NodeKind::Cxl, cxl)
@@ -868,12 +549,12 @@ mod tests {
             .thp_mode(ThpMode::Always)
             .build();
         m.create_process(Pid(1));
-        (m, LatencyModel::datacenter(), SimRng::seed(1))
+        (m, LatencyModel::datacenter())
     }
 
     #[test]
     fn compound_promotion_moves_the_whole_unit() {
-        let (mut m, lat, mut rng) = thp_setup(2048, 2048);
+        let (mut m, lat) = thp_setup(2048, 2048);
         let mut p = Tpp::new();
         let head = m
             .alloc_huge_and_map(NodeId(1), Pid(1), Vpn(0), PageType::Anon)
@@ -882,13 +563,12 @@ mod tests {
             memory: &mut m,
             latency: &lat,
             now_ns: 0,
-            rng: &mut rng,
         };
         // Heads start on the active LRU, so the §5.3 filter passes.
         let cost = p.on_hint_fault(&mut ctx, head);
         assert_eq!(
             cost,
-            lat.migrate_page_ns * super::COMPOUND_MIGRATE_FACTOR,
+            lat.migrate_page_ns * crate::policy::COMPOUND_MIGRATE_FACTOR,
             "a compound promotion is one decision at compound cost"
         );
         for i in 0..HUGE_PAGE_FRAMES {
@@ -902,7 +582,7 @@ mod tests {
 
     #[test]
     fn compound_demotion_migrates_whole_when_target_has_an_aligned_block() {
-        let (mut m, lat, mut rng) = thp_setup(2048, 4096);
+        let (mut m, lat) = thp_setup(2048, 4096);
         let mut p = Tpp::new();
         let head = m
             .alloc_huge_and_map(NodeId(0), Pid(1), Vpn(0), PageType::Anon)
@@ -922,7 +602,7 @@ mod tests {
             vpn += 1;
         }
         for t in 0..20 {
-            tick(&mut p, &mut m, &lat, &mut rng, t * 50 * MS);
+            tick(&mut p, &mut m, &lat, t * 50 * MS);
         }
         let new_head = m.space(Pid(1)).translate(Vpn(0)).unwrap().pfn().unwrap();
         let frame = m.frames().frame(new_head);
@@ -945,7 +625,7 @@ mod tests {
             .thp_mode(ThpMode::Always)
             .build();
         m.create_process(Pid(1));
-        let (lat, mut rng) = (LatencyModel::datacenter(), SimRng::seed(1));
+        let lat = LatencyModel::datacenter();
         let mut p = Tpp::new();
         m.alloc_huge_and_map(NodeId(0), Pid(1), Vpn(0), PageType::Anon)
             .unwrap();
@@ -962,7 +642,7 @@ mod tests {
             vpn += 1;
         }
         for t in 0..10 {
-            tick(&mut p, &mut m, &lat, &mut rng, t * 50 * MS);
+            tick(&mut p, &mut m, &lat, t * 50 * MS);
         }
         assert!(
             m.vmstat().get(VmEvent::ThpSplit) >= 1,

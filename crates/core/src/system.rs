@@ -260,7 +260,6 @@ impl System {
                     memory: &mut self.memory,
                     latency: &self.latency,
                     now_ns: global,
-                    rng: &mut self.rng,
                 };
                 self.policy.tick(&mut ctx);
             }
@@ -325,7 +324,6 @@ impl System {
             memory: &mut self.memory,
             latency: &self.latency,
             now_ns: now,
-            rng: &mut self.rng,
         };
         let out = self
             .policy
@@ -348,7 +346,6 @@ impl System {
             memory: &mut self.memory,
             latency: &self.latency,
             now_ns: now,
-            rng: &mut self.rng,
         };
         let cost = self.latency.hint_fault_ns + self.policy.on_hint_fault(&mut ctx, pfn);
         match self.memory.space(access.pid).translate(access.vpn) {

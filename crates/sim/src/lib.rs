@@ -31,21 +31,17 @@
 
 mod clock;
 mod latency;
-mod replay;
 mod rng;
 mod stats;
 mod trace;
 
 pub use clock::{Periodic, SimClock, MINUTE, MS, SEC, US};
 pub use latency::{access_latency_ns, LatencyModel};
-pub use replay::{ParseTraceError, Trace, TraceRecord, TraceRecorder, TraceWorkload};
 pub use rng::SimRng;
 pub use stats::{fraction, percentile, rate_per_sec, LogHistogram, TimeSeries};
 pub use trace::{Access, AccessKind, AccessObserver, NullObserver, Op, Workload, WorkloadEvent};
 
 /// Structured event telemetry for simulation runs, re-exported from
 /// [`tiered_mem::telemetry`]: kernel-style trace events ↔ vmstat counter
-/// parity, plus the null/ring/JSONL-writer sinks. Namespaced because the
-/// telemetry `TraceRecord` is distinct from the access-replay
-/// [`TraceRecord`] exported above.
+/// parity, plus the null/ring/JSONL-writer sinks.
 pub use tiered_mem::telemetry;
